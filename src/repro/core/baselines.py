@@ -7,7 +7,7 @@ Same* and *Always Mean* predictors our models are compared against.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -21,7 +21,9 @@ __all__ = [
     "AlwaysMean",
     "BASELINES",
     "resolve_baseline",
+    "AttackColumns",
     "naive_attack_forecast",
+    "naive_columns_forecast",
 ]
 
 
@@ -96,6 +98,37 @@ def resolve_baseline(name: str) -> NaivePredictor:
         ) from None
 
 
+class AttackColumns(NamedTuple):
+    """Float64 columns of a chronological attack history.
+
+    The inputs of :func:`naive_columns_forecast`: launch time, launch
+    hour of day, duration and magnitude (unique bots), one row per
+    attack.  :meth:`head` slices every column to a prefix without
+    copying, so one set of columns answers every ``start < now`` cut.
+    """
+
+    start: np.ndarray
+    hour: np.ndarray
+    duration: np.ndarray
+    magnitude: np.ndarray
+
+    @classmethod
+    def of(cls, history: "Sequence[AttackRecord]") -> "AttackColumns":
+        """Columns of ``history``, in its order."""
+        from repro.dataset.records import DAY, HOUR
+
+        return cls(
+            start=np.array([a.start_time for a in history], dtype=float),
+            hour=np.array([a.start_time % DAY / HOUR for a in history], dtype=float),
+            duration=np.array([a.duration for a in history], dtype=float),
+            magnitude=np.array([a.magnitude for a in history], dtype=float),
+        )
+
+    def head(self, k: int) -> "AttackColumns":
+        """The first ``k`` rows (views, not copies)."""
+        return AttackColumns(*(column[:k] for column in self))
+
+
 def naive_attack_forecast(history: "Sequence[AttackRecord]",
                           hour_strategy: str = "always_same",
                           scalar_strategy: str = "always_mean") -> "AttackPrediction":
@@ -107,25 +140,34 @@ def naive_attack_forecast(history: "Sequence[AttackRecord]",
     date by the mean inter-launch gap, duration and magnitude by the
     running mean.  ``history`` must be chronological and non-empty.
     """
+    return naive_columns_forecast(AttackColumns.of(history),
+                                  hour_strategy, scalar_strategy)
+
+
+def naive_columns_forecast(columns: AttackColumns,
+                           hour_strategy: str = "always_same",
+                           scalar_strategy: str = "always_mean") -> "AttackPrediction":
+    """:func:`naive_attack_forecast` over prebuilt, non-empty columns.
+
+    The one implementation of the §VII-A formula.  Its cost is a few
+    C-level reductions over the columns, so a caller holding the
+    columns of a long history answers each prefix without touching the
+    records again.
+    """
     from repro.core.spatiotemporal import AttackPrediction
     from repro.dataset.records import DAY
 
-    if not history:
+    if not columns.start.size:
         raise ValueError("need at least one historical attack")
     hour_model = resolve_baseline(hour_strategy)
     scalar_model = resolve_baseline(scalar_strategy)
 
-    hours = np.array([a.start_time % DAY / 3600.0 for a in history])
-    starts = np.array([a.start_time for a in history])
-    durations = np.array([a.duration for a in history], dtype=float)
-    magnitudes = np.array([float(a.magnitude) for a in history])
-
-    hour = float(hour_model.predict_next(hours))
-    gaps = np.diff(starts)
+    hour = float(hour_model.predict_next(columns.hour))
+    gaps = np.diff(columns.start)
     day_gap = float(scalar_model.predict_next(gaps)) / DAY if gaps.size else 1.0
-    day = float(starts[-1]) / DAY + max(0.0, day_gap)
-    duration = float(scalar_model.predict_next(durations))
-    magnitude = float(scalar_model.predict_next(magnitudes))
+    day = float(columns.start[-1]) / DAY + max(0.0, day_gap)
+    duration = float(scalar_model.predict_next(columns.duration))
+    magnitude = float(scalar_model.predict_next(columns.magnitude))
     return AttackPrediction(
         hour=hour,
         day=day,

@@ -203,7 +203,15 @@ class TraceMetadata:
 
 @dataclass
 class AttackTrace:
-    """A complete trace: attacks (chronological) + hourly snapshots."""
+    """A complete trace: attacks (chronological) + hourly snapshots.
+
+    Per-family and per-target-AS views come from one lazily built group
+    index over ``attacks``.  The index is a plain instance attribute,
+    not a dataclass field, so equality, ``repr`` and ``asdict`` ignore
+    it.  It is keyed on the identity and length of the ``attacks``
+    list: reassigning the list or appending to it rebuilds the index on
+    the next lookup (replacing an element in place does not).
+    """
 
     attacks: list[AttackRecord]
     snapshots: list[HourlySnapshot]
@@ -222,13 +230,27 @@ class AttackTrace:
         """Length of the observation window in hours."""
         return self.metadata.n_days * 24
 
+    def _groups(self) -> tuple[dict[str, list[AttackRecord]],
+                               dict[int, list[AttackRecord]]]:
+        """The chronological (per-family, per-target-AS) group index."""
+        attacks = self.attacks
+        memo = getattr(self, "_group_memo", None)
+        if memo is None or memo[0] is not attacks or memo[1] != len(attacks):
+            families: dict[str, list[AttackRecord]] = {}
+            asns: dict[int, list[AttackRecord]] = {}
+            for a in attacks:
+                families.setdefault(a.family, []).append(a)
+                asns.setdefault(a.target_asn, []).append(a)
+            memo = self._group_memo = (attacks, len(attacks), families, asns)
+        return memo[2], memo[3]
+
     def by_family(self, family: str) -> list[AttackRecord]:
-        """Chronological attacks of one family."""
-        return [a for a in self.attacks if a.family == family]
+        """Chronological attacks of one family (a fresh list)."""
+        return list(self._groups()[0].get(family, ()))
 
     def by_target_asn(self, asn: int) -> list[AttackRecord]:
-        """Chronological attacks against targets inside one AS."""
-        return [a for a in self.attacks if a.target_asn == asn]
+        """Chronological attacks against targets inside one AS (a fresh list)."""
+        return list(self._groups()[1].get(asn, ()))
 
     def families(self) -> list[str]:
         """Families present in the trace, by descending attack count."""

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.baselines import naive_attack_forecast
+from repro.core.baselines import AttackColumns, naive_columns_forecast
 from repro.core.spatiotemporal import AttackPrediction, SpatiotemporalConfig
 from repro.dataset.generator import SimulationEnvironment
 from repro.dataset.records import AttackRecord, AttackTrace
@@ -164,41 +165,60 @@ class BaselineFallback:
     def __init__(self, trace: AttackTrace, metrics: ServingMetrics) -> None:
         self.trace = trace
         self.metrics = metrics
+        # (attacks list, its length, {pool key: (starts, columns)}):
+        # rebuilt whenever the trace's attacks list is replaced or grows.
+        # Threads racing on it at worst build the same entry twice.
+        self._columns: tuple = (None, 0, {})
 
     def forecast(self, request: ForecastRequest,
                  error: str | None = None) -> Forecast:
-        """Baseline-backed degraded answer (§VII-A naive predictors)."""
-        history = self.history_for(request)
-        if not history:
-            self.metrics.incr("serving.unanswerable")
-            return Forecast(
-                request=request, prediction=None, source="none",
-                degraded=True, error=error or "no observable history",
-            )
-        prediction = naive_attack_forecast(history)
-        self.metrics.incr("serving.fallbacks")
-        return Forecast(
-            request=request, prediction=prediction, source="baseline",
-            degraded=True, error=error,
-        )
+        """Baseline-backed degraded answer (§VII-A naive predictors).
 
-    def history_for(self, request: ForecastRequest) -> list[AttackRecord]:
-        """Most specific non-empty raw history for a baseline answer.
-
-        Same-AS attacks first (what the target itself observed), then
-        the family's global attacks, then everything -- truncated to
-        strictly before the query time.
+        The history is the most specific non-empty pool -- same-AS
+        attacks first (what the target itself observed), then the
+        family's, then everything -- cut to attacks strictly before
+        the query time.  The cut is a bisection over the pool's cached
+        launch times and the forecast runs on column prefixes, so after
+        a pool's first answer no answer touches the records again.
         """
         horizon = request.now if request.now is not None else float("inf")
-        for pool in (
-            self.trace.by_target_asn(request.asn),
-            self.trace.by_family(request.family),
-            self.trace.attacks,
-        ):
-            history = [a for a in pool if a.start_time < horizon]
-            if history:
-                return history
-        return []
+        for key, pool in self._pools(request):
+            if not pool:  # unknown keys are never cached: the cache stays bounded
+                continue
+            starts, columns = self._pool_columns(key, pool)
+            k = bisect_left(starts, horizon)
+            if k:
+                prediction = naive_columns_forecast(columns.head(k))
+                self.metrics.incr("serving.fallbacks")
+                return Forecast(
+                    request=request, prediction=prediction, source="baseline",
+                    degraded=True, error=error,
+                )
+        self.metrics.incr("serving.unanswerable")
+        return Forecast(
+            request=request, prediction=None, source="none",
+            degraded=True, error=error or "no observable history",
+        )
+
+    def _pools(self, request: ForecastRequest):
+        """(cache key, chronological records) from most to least specific."""
+        yield ("asn", request.asn), self.trace.by_target_asn(request.asn)
+        yield ("family", request.family), self.trace.by_family(request.family)
+        yield ("all",), self.trace.attacks
+
+    def _pool_columns(self, key: tuple, pool: list[AttackRecord]
+                      ) -> tuple[list[float], AttackColumns]:
+        """Cached launch times and §VII-A columns of one pool."""
+        attacks = self.trace.attacks
+        built_from, n_built, cache = self._columns
+        if built_from is not attacks or n_built != len(attacks):
+            cache = {}
+            self._columns = (attacks, len(attacks), cache)
+        entry = cache.get(key)
+        if entry is None:
+            columns = AttackColumns.of(pool)
+            entry = cache[key] = (columns.start.tolist(), columns)
+        return entry
 
 
 class ForecastEngine:

@@ -119,6 +119,64 @@ class TestAttackTrace:
         trace = self._trace([a, b])
         assert [x.ddos_id for x in trace.by_target_asn(8)] == [2]
 
+    def test_groups_keep_trace_order(self):
+        attacks = [make_attack(ddos_id=i, family="AB"[i % 2], target_asn=7 + i % 3,
+                               start_time=(10 - i) * HOUR)
+                   for i in range(9)]
+        trace = self._trace(attacks)
+        for family in ("A", "B"):
+            assert trace.by_family(family) == [
+                a for a in trace.attacks if a.family == family]
+        for asn in (7, 8, 9):
+            assert trace.by_target_asn(asn) == [
+                a for a in trace.attacks if a.target_asn == asn]
+        assert trace.by_family("absent") == []
+        assert trace.by_target_asn(404) == []
+
+    def test_group_index_is_not_a_field(self):
+        import dataclasses
+
+        record = make_attack(ddos_id=1, family="A")  # records compare by identity
+        built, fresh = self._trace([record]), self._trace([record])
+        built.by_family("A")  # builds the index on one of the two
+        assert [f.name for f in dataclasses.fields(AttackTrace)] == [
+            "attacks", "snapshots", "metadata"]
+        assert set(dataclasses.asdict(built)) == {"attacks", "snapshots", "metadata"}
+        assert repr(built) == repr(fresh)
+        assert built == fresh
+
+    def test_group_index_follows_reassignment(self):
+        import copy
+
+        trace = self._trace([make_attack(ddos_id=1, family="A", target_asn=7)])
+        assert len(trace.by_family("A")) == 1
+        empty = copy.copy(trace)  # shares the built index with ``trace``
+        empty.attacks = []
+        assert empty.by_family("A") == []
+        assert empty.by_target_asn(7) == []
+        assert len(trace.by_family("A")) == 1
+        trace.attacks = [make_attack(ddos_id=2, family="B", target_asn=8)]  # same length
+        assert trace.by_family("A") == []
+        assert [a.ddos_id for a in trace.by_target_asn(8)] == [2]
+
+    def test_group_index_follows_append(self):
+        trace = self._trace([make_attack(ddos_id=1, family="A", start_time=HOUR)])
+        assert len(trace.by_family("A")) == 1
+        trace.attacks.append(make_attack(ddos_id=2, family="A", start_time=2 * HOUR))
+        assert [a.ddos_id for a in trace.by_family("A")] == [1, 2]
+
+    def test_lookups_return_fresh_lists(self):
+        attacks = [make_attack(ddos_id=i, family="A", target_asn=7,
+                               start_time=i * HOUR) for i in range(1, 4)]
+        trace = self._trace(attacks)
+        mine = trace.by_family("A")
+        mine.sort(key=lambda a: -a.ddos_id)
+        mine.append(make_attack(ddos_id=99))
+        theirs = trace.by_target_asn(7)
+        theirs.clear()
+        assert [a.ddos_id for a in trace.by_family("A")] == [1, 2, 3]
+        assert [a.ddos_id for a in trace.by_target_asn(7)] == [1, 2, 3]
+
     def test_families_sorted_by_count(self):
         attacks = [make_attack(ddos_id=i, family="A") for i in range(3)]
         attacks += [make_attack(ddos_id=10 + i, family="B") for i in range(5)]

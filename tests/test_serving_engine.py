@@ -5,14 +5,20 @@ session-scoped fitted ``predictor`` through an injected registry
 factory, so no test refits the pipeline.
 """
 
+import copy
+import dataclasses
 import json
+import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.baselines import naive_attack_forecast
+from repro.dataset.records import AttackTrace
 from repro.serving import (
+    BaselineFallback,
     EngineClosedError,
     Forecast,
     ForecastEngine,
@@ -182,6 +188,225 @@ class TestDegradation:
             assert all(f.degraded for f in batch)
             snap = engine.metrics_snapshot()
             assert snap["counters"]["serving.fallbacks"] >= 1
+
+
+def _reference_fallback(trace, request):
+    """The list-scanning §VII-A answer: linear filters, then the oracle."""
+    horizon = request.now if request.now is not None else float("inf")
+    for pool in ([a for a in trace.attacks if a.target_asn == request.asn],
+                 [a for a in trace.attacks if a.family == request.family],
+                 trace.attacks):
+        history = [a for a in pool if a.start_time < horizon]
+        if history:
+            return naive_attack_forecast(history)
+    return None
+
+
+def _exact(prediction):
+    """Every AttackPrediction field, floats by their exact bits."""
+    return {f.name: (getattr(prediction, f.name).hex()
+                     if isinstance(getattr(prediction, f.name), float)
+                     else getattr(prediction, f.name).tolist())
+            for f in dataclasses.fields(prediction)}
+
+
+class CountingList(list):
+    """A list that counts full passes (``__iter__`` calls) over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.fixture()
+def tied_trace(small_trace):
+    """The small trace plus same-instant twins of some attacks."""
+    twins = [dataclasses.replace(a, ddos_id=10**7 + i, duration=a.duration + 60.0,
+                                 target_asn=(a.target_asn if i % 2 else 10**6))
+             for i, a in enumerate(small_trace.attacks[::97])]
+    return AttackTrace(attacks=small_trace.attacks + twins, snapshots=[],
+                       metadata=small_trace.metadata)
+
+
+@pytest.fixture()
+def counted_trace(small_trace):
+    """A copy of the small trace whose attacks list counts passes."""
+    trace = copy.copy(small_trace)
+    trace.attacks = CountingList(small_trace.attacks)
+    return trace
+
+
+def _pool_requests(trace):
+    """One request per fallback pool: same AS, family, everything."""
+    first = trace.attacks[0]
+    return [ForecastRequest(asn=first.target_asn, family=first.family),
+            ForecastRequest(asn=10**9, family=first.family),
+            ForecastRequest(asn=10**9, family="NoSuchFamily")]
+
+
+def _sweep(trace, pools, n):
+    """``n`` seeded degraded requests over the given pool requests."""
+    rng = random.Random(7)
+    end = trace.attacks[-1].start_time
+    return [ForecastRequest(asn=r.asn, family=r.family,
+                            now=rng.choice((None, rng.uniform(0.0, end))))
+            for r in rng.choices(pools, k=n)]
+
+
+class TestIndexedFallback:
+    """The bisected, columnar fallback against the list-scanning oracle."""
+
+    def test_bit_identical_to_list_reference(self, tied_trace, test_seed):
+        rng = random.Random(test_seed)
+        attacks = tied_trace.attacks
+        starts = [a.start_time for a in attacks]
+        tied = sorted({s for s in starts if starts.count(s) > 1})
+        assert tied, "the fixture must hold tied launch times"
+        asns = sorted({a.target_asn for a in attacks}) + [10**9, -1]
+        families = tied_trace.families() + ["NoSuchFamily"]
+        nows = [None, -5.0, 0.0, starts[0], starts[0] / 2, starts[-1],
+                starts[-1] + 1.0, *tied]
+        nows += rng.sample(starts, 40) + [rng.uniform(0.0, starts[-1])
+                                          for _ in range(40)]
+
+        metrics = ServingMetrics()
+        fallback = BaselineFallback(tied_trace, metrics)
+        answered = unanswerable = 0
+        for i in range(600):
+            request = ForecastRequest(asn=rng.choice(asns),
+                                      family=rng.choice(families),
+                                      now=rng.choice(nows))
+            error = rng.choice((None, f"cause {i}"))
+            forecast = fallback.forecast(request, error=error)
+            expected = _reference_fallback(tied_trace, request)
+            assert forecast.degraded and forecast.request == request
+            if expected is None:
+                unanswerable += 1
+                assert forecast.source == "none" and forecast.prediction is None
+                assert forecast.error == (error or "no observable history")
+            else:
+                answered += 1
+                assert forecast.source == "baseline"
+                assert forecast.error == error
+                assert _exact(forecast.prediction) == _exact(expected), request
+        assert answered and unanswerable
+        assert metrics.counter("serving.fallbacks") == answered
+        assert metrics.counter("serving.unanswerable") == unanswerable
+
+    def test_follows_reassigned_attacks(self, small_trace):
+        trace = copy.copy(small_trace)
+        fallback = BaselineFallback(trace, ServingMetrics())
+        requests = _pool_requests(trace)
+        for request in requests:
+            assert fallback.forecast(request).ok
+        trace.attacks = small_trace.attacks[: len(small_trace.attacks) // 2]
+        for request in requests:
+            assert (_exact(fallback.forecast(request).prediction)
+                    == _exact(_reference_fallback(trace, request)))
+        trace.attacks = []
+        assert fallback.forecast(requests[0]).source == "none"
+
+    def test_concurrent_first_answers_agree(self, small_trace):
+        """Threads racing to build the index and the column cache."""
+        import sys
+
+        trace = copy.copy(small_trace)
+        trace.attacks = list(small_trace.attacks)  # nothing built yet
+        metrics = ServingMetrics()
+        fallback = BaselineFallback(trace, metrics)
+        requests = _sweep(trace, _pool_requests(trace), 64)
+        expected = [_reference_fallback(trace, r) for r in requests]
+        expected = [p and _exact(p) for p in expected]
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+
+        def answer(_):
+            barrier.wait(timeout=10.0)
+            return [f.prediction and _exact(f.prediction)
+                    for f in map(fallback.forecast, requests)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                results = list(pool.map(answer, range(n_threads), timeout=60.0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * n_threads
+        assert (metrics.counter("serving.fallbacks")
+                + metrics.counter("serving.unanswerable")) == n_threads * len(requests)
+
+    def test_unknown_keys_are_not_cached(self, small_trace):
+        fallback = BaselineFallback(small_trace, ServingMetrics())
+        for asn in range(10**9, 10**9 + 50):
+            fallback.forecast(ForecastRequest(asn=asn, family="NoSuchFamily"))
+        assert set(fallback._columns[2]) == {("all",)}
+
+
+class TestFallbackNeverScans:
+    """After a pool's first answer, degraded answers make no full pass
+    over ``trace.attacks`` -- on every path that serves one."""
+
+    N = 200
+
+    def _assert_no_passes(self, trace, answer):
+        pools = _pool_requests(trace)
+        for request in pools:
+            answer([request])
+        trace.attacks.passes = 0
+        forecasts = answer(_sweep(trace, pools, self.N))
+        assert len(forecasts) == self.N
+        assert all(f.degraded for f in forecasts)
+        assert trace.attacks.passes == 0
+
+    def test_engine_fallback(self, counted_trace, small_env):
+        with ForecastEngine(counted_trace, small_env) as engine:
+            self._assert_no_passes(
+                counted_trace,
+                lambda requests: [engine.fallback(r) for r in requests])
+
+    def test_sharded_parent_fallback(self, counted_trace, small_env):
+        from repro.serving import ShardedForecastEngine
+
+        # Never started: the parent answers alone, as it does for a dead shard.
+        engine = ShardedForecastEngine(counted_trace, small_env, n_shards=1)
+        try:
+            self._assert_no_passes(
+                counted_trace,
+                lambda requests: [engine.fallback(r) for r in requests])
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("op", ["forecast", "forecast_batch"])
+    def test_dispatcher_shed(self, op, counted_trace, small_env):
+        import asyncio
+
+        from repro.server import Dispatcher
+
+        def shed(requests):
+            wire = [{"asn": r.asn, "family": r.family, "now": r.now}
+                    for r in requests]
+
+            async def run():
+                if op == "forecast_batch":
+                    status, body, _ = await dispatcher.handle(
+                        op, {"requests": wire})
+                    assert status == 429
+                    return body["forecasts"]
+                bodies = []
+                for payload in wire:
+                    status, body, _ = await dispatcher.handle(op, payload)
+                    assert status == 429
+                    bodies.append(body)
+                return bodies
+            return [Forecast.from_dict(body) for body in asyncio.run(run())]
+
+        with ForecastEngine(counted_trace, small_env) as engine:
+            dispatcher = Dispatcher(engine, max_inflight=1)
+            dispatcher._inflight = 1  # saturated: every forecast is shed
+            self._assert_no_passes(counted_trace, shed)
 
 
 class TestThreadSafety:
