@@ -45,8 +45,8 @@ from repro.serving import (
     ForecastEngine,
     ForecastRequest,
     ModelRegistry,
-    ServingMetrics,
 )
+from repro.telemetry import Telemetry
 
 __version__ = "1.1.0"
 
@@ -74,6 +74,6 @@ __all__ = [
     "ForecastEngine",
     "ForecastRequest",
     "ModelRegistry",
-    "ServingMetrics",
+    "Telemetry",
     "__version__",
 ]

@@ -131,10 +131,10 @@ def _journal_io_plan(seed: int) -> FaultPlan:
     # Phase 1 (single writer, per-record fsync) visits journal.write
     # exactly 40 times and journal.fsync 37 times (the 3 write faults
     # abort before the fsync hook).  Phase 2 quotas target the visit
-    # numbers that can only occur inside the group-commit hammer: 8
-    # threads x 10 appends makes write visits 41..120, and at most 8
-    # members per group means at least 10 more fsync visits, so fsync
-    # visits 38..46 land mid-group-commit by construction.
+    # numbers that can only occur inside the concurrent-append hammer:
+    # 8 threads x 10 appends makes write visits 41..120, and every
+    # append that writes pays its own fsync visit (at least 78 more),
+    # so fsync visits 38..46 land inside phase 2 by construction.
     return FaultPlan.generate(seed, "journal-io", [
         {"site": "journal.write", "count": 3, "visits": (1, 40),
          "action": "os_error"},
@@ -204,20 +204,16 @@ def _run_journal_io(plan: FaultPlan, injector: FaultInjector,
                 "journal-dense",
                 f"acknowledged offset {offset} lost across recovery")
 
-    # ----- phase 2: group commit under mid-group fsync faults -----
-    # 8 concurrent writers share fsyncs via the leader/follower commit
-    # protocol while the plan injects write and fsync faults into the
-    # middle of commit groups.  A faulted group fails *every* member
-    # (none is acknowledged), so the invariant is unchanged: density
-    # always, and no acknowledged offset ever missing after recovery.
+    # ----- phase 2: concurrent appends under write and fsync faults -----
+    # 8 writer threads race on the journal lock while the plan injects
+    # write and fsync faults between them.  A faulted append
+    # acknowledges none of its records, so the invariant is unchanged:
+    # density always, and no acknowledged offset ever missing after
+    # recovery.
     import threading
 
-    from repro.telemetry.metrics import Telemetry
-
-    telemetry = Telemetry()
     journal.close()
-    journal = RecordJournal(path, fsync=True, segment_max_records=8,
-                            group_window_s=0.0, metrics=telemetry)
+    journal = RecordJournal(path, fsync=True, segment_max_records=8)
     reopens += 1
     group_records = _tiny_records(120)[40:]
     acked_group: list[int] = []
@@ -246,18 +242,16 @@ def _run_journal_io(plan: FaultPlan, injector: FaultInjector,
     journal.close()
     journal = RecordJournal(path, fsync=True, segment_max_records=8)
     reopens += 1
-    suite.check_journal_dense(journal, "after group-commit phase")
+    suite.check_journal_dense(journal, "after concurrent-append phase")
     on_disk = {entry.offset for entry in journal.tail(0)}
     if len(set(acked_group)) != len(acked_group):
         suite.violation("journal-dense",
-                        "group commit acknowledged a duplicate offset")
+                        "concurrent appends acknowledged a duplicate offset")
     for offset in acked + acked_group:
         if offset not in on_disk:
             suite.violation(
                 "journal-dense",
-                f"acknowledged offset {offset} lost across group commit")
-    group_hist = (telemetry.snapshot()["latency"]
-                  .get("ingest.journal.group_size") or {})
+                f"acknowledged offset {offset} lost across concurrent appends")
     return {
         "appended": len(acked),
         "journal_faults": faults,
@@ -265,8 +259,6 @@ def _run_journal_io(plan: FaultPlan, injector: FaultInjector,
         "records_on_disk": len(on_disk),
         "group_appended": len(acked_group),
         "group_faults": group_faults,
-        "group_commits": group_hist.get("count", 0),
-        "max_group_size": group_hist.get("max_s", 0.0),
     }
 
 

@@ -72,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
         ``--trace`` loads a persisted trace (its metadata rebuilds the
         environment); otherwise the generation parameters synthesize
-        one.  ``--n-days``/``--n-targets`` are hidden deprecated
-        aliases kept for old scripts.
+        one.
         """
         group = p.add_argument_group(
             "dataset", "persisted trace or generation parameters"
@@ -86,12 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="rate multiplier")
         group.add_argument("--targets", type=int, default=80,
                            help="victim count")
-        # Deprecated spellings from early revisions; SUPPRESS keeps them
-        # out of --help and off the namespace unless actually passed.
-        group.add_argument("--n-days", dest="days", type=int,
-                           default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        group.add_argument("--n-targets", dest="targets", type=int,
-                           default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     gen = sub.add_parser("generate", help="synthesize and persist a trace")
     add_dataset_args(gen)
@@ -201,24 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_http.add_argument("--slow-ms", type=float, default=None,
                             help="requests slower than this always log, "
                                  "flagged slow")
-    serve_http.add_argument("--group-commit-ms", type=float, default=None,
-                            metavar="MS",
-                            help="journal group commit: concurrent record "
-                                 "appends share one fsync, lingering up to "
-                                 "MS for peers (0 = batch only what piles "
-                                 "up during the previous fsync; absent = "
-                                 "one fsync per append, today's behavior)")
-    serve_http.add_argument("--microbatch-ms", type=float, default=None,
-                            metavar="MS",
-                            help="fold concurrent untraced single forecasts "
-                                 "arriving within MS into one engine batch "
-                                 "(also batches shard pipe traffic when "
-                                 "--workers > 1); absent = off")
-    serve_http.add_argument("--encode-cache", type=int, nargs="?",
-                            const=256, default=None, metavar="ENTRIES",
-                            help="LRU of serialized repeat-forecast JSON "
-                                 "bodies (default 256 entries when given "
-                                 "without a value); absent = off")
 
     serve_cluster = sub.add_parser(
         "serve-cluster",
@@ -583,7 +558,7 @@ def _predict_cluster(args: argparse.Namespace, trace) -> int:
 
     from repro.cluster import ClusterConfig, FailoverForecastClient
     from repro.serving.engine import BaselineFallback
-    from repro.serving.metrics import ServingMetrics
+    from repro.telemetry import Telemetry
 
     if args.cluster_config:
         config = ClusterConfig.from_file(args.cluster_config)
@@ -597,7 +572,7 @@ def _predict_cluster(args: argparse.Namespace, trace) -> int:
         return 1
 
     async def ask():
-        metrics = ServingMetrics()
+        metrics = Telemetry()
         client = FailoverForecastClient(
             config, fallback=BaselineFallback(trace, metrics),
             metrics=metrics)
@@ -691,7 +666,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.serving import ForecastEngine, ForecastRequest, ModelRegistry
-    from repro.serving.metrics import ServingMetrics
+    from repro.telemetry import Telemetry
 
     if args.store and _store_missing(args.store):
         return EXIT_BAD_STORE
@@ -699,7 +674,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not trace.attacks:
         print("empty trace: nothing to serve", file=sys.stderr)
         return 1
-    metrics = ServingMetrics()
+    metrics = Telemetry()
     if args.shards > 1:
         from repro.serving import ShardedForecastEngine
 
@@ -718,7 +693,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                 timeout_s=args.timeout)
     with engine:
         print("warming up ...", file=sys.stderr)
-        engine.warm()
+        if args.shards > 1:
+            engine.start()
+        else:
+            engine.warm()
         # Busiest networks x most active families, cycled until the
         # requested batch size -- duplicates exercise coalescing just
         # like repeated customer queries would.
@@ -767,7 +745,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serving import ForecastEngine, ModelRegistry
-    from repro.serving.metrics import ServingMetrics
+    from repro.telemetry import Telemetry
     from repro.server import Dispatcher, ForecastServer, bind_socket
 
     # Fail fast, in order of cheapness: a bad store path and an
@@ -811,14 +789,13 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             framed_sock.close()
         print("empty trace: nothing to serve", file=sys.stderr)
         return 1
-    metrics = ServingMetrics()
+    metrics = Telemetry()
     if args.workers > 1:
         from repro.serving import ShardedForecastEngine
 
         engine = ShardedForecastEngine(
             trace, env, n_shards=args.workers, store_path=args.store,
             max_workers_per_shard=args.worker_threads, metrics=metrics,
-            microbatch=getattr(args, "microbatch_ms", None) is not None,
         )
         print(f"booting {args.workers} shard(s) ...", file=sys.stderr)
         engine.start()
@@ -835,25 +812,16 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         from repro.persistence import ModelStore
 
         store_info = ModelStore(args.store).describe()
-    microbatch_ms = getattr(args, "microbatch_ms", None)
     dispatcher = Dispatcher(
         engine,
         max_inflight=args.max_inflight,
         default_timeout_s=args.timeout if args.timeout > 0 else None,
-        microbatch_window_s=(microbatch_ms / 1000.0
-                             if microbatch_ms is not None else None),
         store_info=store_info,
     )
     if getattr(args, "journal", None):
         from repro.ingest import RecordJournal
 
-        group_commit_ms = getattr(args, "group_commit_ms", None)
-        journal = RecordJournal(
-            args.journal,
-            group_window_s=(group_commit_ms / 1000.0
-                            if group_commit_ms is not None else None),
-            metrics=metrics,
-        )
+        journal = RecordJournal(args.journal)
         dispatcher.record_sink = journal.append_many
         print(f"accepting records into journal {args.journal} "
               f"(next offset {journal.next_offset})", file=sys.stderr)
@@ -866,11 +834,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             sample_every=max(1, args.access_log_sample),
             slow_s=args.slow_ms / 1000.0 if args.slow_ms else None,
         )
-    encode_cache = None
-    if getattr(args, "encode_cache", None) is not None:
-        from repro.server.http import ResponseEncodeCache
-
-        encode_cache = ResponseEncodeCache(max_entries=args.encode_cache)
     server = ForecastServer(
         dispatcher,
         host=args.host,
@@ -879,7 +842,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         max_connections=args.max_connections,
         drain_timeout_s=args.drain_timeout,
         access_log=access_log,
-        encode_cache=encode_cache,
     )
 
     async def run() -> None:

@@ -50,7 +50,7 @@ from repro.server.client import (
     ReplicaHealth,
 )
 from repro.serving.engine import Forecast, ForecastRequest
-from repro.telemetry import ServingMetrics, Span, new_trace_id
+from repro.telemetry import Telemetry, Span, new_trace_id
 
 __all__ = [
     "FailoverForecastClient",
@@ -115,9 +115,9 @@ class ReplicaSet:
 
     def __init__(self, config: ClusterConfig, *,
                  transport: str = "http",
-                 metrics: ServingMetrics | None = None) -> None:
+                 metrics: Telemetry | None = None) -> None:
         self.config = config
-        self.metrics = metrics or ServingMetrics()
+        self.metrics = metrics or Telemetry()
         self.members = [
             ReplicaState(
                 endpoint=endpoint,
@@ -259,9 +259,9 @@ class FailoverForecastClient(BaseForecastClient):
     def __init__(self, config: ClusterConfig, *,
                  transport: str = "http",
                  fallback=None,
-                 metrics: ServingMetrics | None = None) -> None:
+                 metrics: Telemetry | None = None) -> None:
         self.config = config
-        self.metrics = metrics or ServingMetrics()
+        self.metrics = metrics or Telemetry()
         self.replicas = ReplicaSet(config, transport=transport,
                                    metrics=self.metrics)
         #: §VII-A degradation when the whole set is down -- typically a

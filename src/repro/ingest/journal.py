@@ -26,18 +26,10 @@ paths: readers ignore it, and a recovering writer starts a fresh
 segment after the last complete line rather than appending to the torn
 file.
 
-**Group commit** (``group_window_s``): with the default ``None`` every
-``append``/``append_many`` call pays its own fsync, exactly as before.
-When enabled, concurrent callers (overlapping ``POST /v1/records``
-handlers) form *commit groups*: one caller -- the leader -- writes and
-fsyncs every queued record in a single syscall, then wakes the
-followers.  ``group_window_s=0.0`` batches only what piled up while
-the previous commit was in flight (the fsync itself is the window, so
-a lone writer keeps today's latency); a positive window makes the
-leader linger that long to let more followers join.  The durability
-contract is unchanged either way: offsets are assigned under the
-journal lock and no caller is acknowledged before the fsync that
-covers its records has returned.
+Every ``append``/``append_many`` call validates its whole batch, then
+writes it under the journal lock and pays one fsync: offsets are
+assigned under the lock and no caller is acknowledged before the fsync
+that covers its records has returned.
 """
 
 from __future__ import annotations
@@ -45,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -79,19 +70,6 @@ def _segment_name(first_offset: int) -> str:
     return f"{_SEGMENT_PREFIX}{first_offset:0{_OFFSET_WIDTH}d}{_SEGMENT_SUFFIX}"
 
 
-class _GroupEntry:
-    """One caller's validated records waiting in a commit group."""
-
-    __slots__ = ("records", "done", "error", "first", "next_offset")
-
-    def __init__(self, records: list[dict]) -> None:
-        self.records = records
-        self.done = False
-        self.error: JournalError | None = None
-        self.first = 0
-        self.next_offset = 0
-
-
 class RecordJournal:
     """Append-only journal of attack/snapshot records.
 
@@ -103,24 +81,15 @@ class RecordJournal:
 
     def __init__(self, path: str | Path, *,
                  segment_max_records: int = 4096,
-                 fsync: bool = True,
-                 group_window_s: float | None = None,
-                 metrics=None) -> None:
+                 fsync: bool = True) -> None:
         if segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
-        if group_window_s is not None and group_window_s < 0:
-            raise ValueError("group_window_s must be >= 0")
         self.path = Path(path)
         self.segment_max_records = segment_max_records
         self.fsync = fsync
-        self.group_window_s = group_window_s
-        self.metrics = metrics
         self._lock = threading.Lock()
         self._handle = None
         self._segment_records = 0
-        self._group_cond = threading.Condition()
-        self._group_pending: list[_GroupEntry] = []
-        self._group_leader = False
         self.path.mkdir(parents=True, exist_ok=True)
         self._next_offset, self._torn_tail = self._recover()
 
@@ -160,29 +129,13 @@ class RecordJournal:
                     "the base trace"
                 )
             parsed.append(record)
-        if self.group_window_s is not None:
-            return self._group_commit(parsed)
-        entry = _GroupEntry(parsed)
         with self._lock:
-            self._write_group_locked([entry])
-        return entry.first, entry.next_offset
-
-    def _write_group_locked(self, entries: list[_GroupEntry]) -> None:
-        """Write and fsync every entry's records; ``_lock`` must be held.
-
-        Offsets are assigned per entry in queue order, then one
-        flush+fsync covers the whole group -- no entry is acknowledged
-        before that fsync returns, and on failure no entry is
-        acknowledged at all.  Raises :class:`~repro.errors.JournalError`
-        on I/O failure.
-        """
-        try:
-            # Rotation is checked per record, not per batch, so the
-            # segment bound holds even for batches larger than it
-            # (the rotated-away handle is fsynced before it closes).
-            for entry in entries:
-                entry.first = self._next_offset
-                for record in entry.records:
+            first = self._next_offset
+            try:
+                # Rotation is checked per record, not per batch, so the
+                # segment bound holds even for batches larger than it
+                # (the rotated-away handle is fsynced before it closes).
+                for record in parsed:
                     handle = self._writable_segment()
                     line = json.dumps(
                         {"offset": self._next_offset, "record": record}
@@ -191,66 +144,15 @@ class RecordJournal:
                     handle.write(line + "\n")
                     self._next_offset += 1
                     self._segment_records += 1
-                entry.next_offset = self._next_offset
-            handle.flush()
-            chaos_point("journal.fsync", offset=self._next_offset)
-            if self.fsync:
-                os.fsync(handle.fileno())
-        except OSError as exc:
-            raise JournalError(
-                f"journal append failed at {self.path}: {exc}"
-            ) from exc
-        if self.metrics is not None:
-            self.metrics.observe(
-                "ingest.journal.group_size",
-                float(self._next_offset - entries[0].first),
-            )
-
-    def _group_commit(self, parsed: list[dict]) -> tuple[int, int]:
-        """Leader/follower group commit for one validated batch.
-
-        The caller queues its entry; if a commit is already in flight
-        it waits to be acknowledged (or to inherit leadership once the
-        current leader hands off).  The leader optionally lingers
-        ``group_window_s``, drains everything queued, and commits the
-        whole group under one fsync.  A leader failure fails exactly
-        the drained group -- later arrivals elect a fresh leader --
-        and the ``finally`` hand-off runs even on unexpected errors so
-        no follower is ever stranded.
-        """
-        entry = _GroupEntry(parsed)
-        with self._group_cond:
-            self._group_pending.append(entry)
-            while not entry.done and self._group_leader:
-                self._group_cond.wait()
-            if entry.done:
-                if entry.error is not None:
-                    raise entry.error
-                return entry.first, entry.next_offset
-            self._group_leader = True
-        if self.group_window_s:
-            time.sleep(self.group_window_s)
-        with self._group_cond:
-            group = self._group_pending
-            self._group_pending = []
-        error: JournalError | None = None
-        try:
-            with self._lock:
-                self._write_group_locked(group)
-        except BaseException as exc:
-            error = exc if isinstance(exc, JournalError) else JournalError(
-                f"group commit aborted at {self.path}: {exc}"
-            )
-        finally:
-            with self._group_cond:
-                self._group_leader = False
-                for member in group:
-                    member.error = error
-                    member.done = True
-                self._group_cond.notify_all()
-        if error is not None:
-            raise error
-        return entry.first, entry.next_offset
+                handle.flush()
+                chaos_point("journal.fsync", offset=self._next_offset)
+                if self.fsync:
+                    os.fsync(handle.fileno())
+            except OSError as exc:
+                raise JournalError(
+                    f"journal append failed at {self.path}: {exc}"
+                ) from exc
+            return first, self._next_offset
 
     def close(self) -> None:
         """Close the active segment handle (reopened on next append)."""

@@ -32,7 +32,13 @@ import time
 from repro.chaos.hooks import chaos_point
 from repro.errors import JournalError
 from repro.evaluation.reporting import FORECAST_SCHEMA_VERSION, error_payload
-from repro.serving.engine import EngineClosedError, Forecast, ForecastEngine, ForecastRequest
+from repro.serving.engine import (
+    EngineClosedError,
+    Forecast,
+    ForecastEngine,
+    ForecastRequest,
+    coalesce,
+)
 from repro.server.protocol import (
     ProtocolError,
     parse_batch_request,
@@ -48,16 +54,6 @@ __all__ = ["Dispatcher"]
 DEFAULT_RETRY_AFTER_S = 1.0
 
 
-class _MicroBatch:
-    """One pending cross-connection batch: requests plus their waiters."""
-
-    __slots__ = ("requests", "waiters")
-
-    def __init__(self) -> None:
-        self.requests: list = []
-        self.waiters: list = []
-
-
 class Dispatcher:
     """Maps wire operations onto one engine, with backpressure."""
 
@@ -66,12 +62,9 @@ class Dispatcher:
                  default_timeout_s: float | None = 10.0,
                  max_timeout_s: float = 60.0,
                  retry_after_s: float = DEFAULT_RETRY_AFTER_S,
-                 microbatch_window_s: float | None = None,
                  store_info: dict | None = None) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if microbatch_window_s is not None and microbatch_window_s < 0:
-            raise ValueError("microbatch_window_s must be >= 0")
         self.engine = engine
         self.metrics = engine.metrics
         self.max_inflight = max_inflight
@@ -90,14 +83,6 @@ class Dispatcher:
         self.record_sink = None
         self._inflight = 0  # event-loop confined; no lock needed
         self._draining = False
-        #: Opt-in micro-batch window (seconds): concurrent untraced
-        #: single forecasts that arrive within one window fold into one
-        #: ``engine.query_batch``, so the engine's duplicate coalescing
-        #: (``serving.coalesced``) fires *across connections*, not just
-        #: within explicit batch bodies.  None (the default) keeps the
-        #: one-submit-per-request path byte-for-byte as before.
-        self.microbatch_window_s = microbatch_window_s
-        self._mb_groups: dict = {}  # timeout -> _MicroBatch; loop-confined
         #: Optional callable the transport installs so ``/metrics`` can
         #: report connection-level state alongside engine telemetry.
         self.transport_stats = None
@@ -206,32 +191,25 @@ class Dispatcher:
                 ],
             }
             return 429, body, self.retry_after_s
-        # Mirror ForecastEngine.query_batch's coalescing (and its
-        # counter semantics) without blocking the event loop on it.
+        # ForecastEngine.query_batch's counter semantics, without
+        # blocking the event loop on it: each distinct request counts
+        # its own query as it is submitted, the duplicates count here.
         self.metrics.incr("serving.batches")
-        distinct: dict[tuple, ForecastRequest] = {}
-        for request in requests:
-            distinct.setdefault(request.work_key, request)
-        coalesced = len(requests) - len(distinct)
-        if coalesced:
-            self.metrics.incr("serving.coalesced", coalesced)
-            self.metrics.incr("serving.queries", coalesced)
+        distinct, index = coalesce(requests, self.metrics)
+        self.metrics.incr("serving.queries", len(requests) - len(distinct))
         self._inflight += len(distinct)  # a batch holds one slot per computation
         try:
             answers = await asyncio.gather(
-                *(self._run(request, timeout, ctx) for request in distinct.values())
+                *(self._run(request, timeout, ctx) for request in distinct)
             )
         except EngineClosedError:
             return self._drained_response(ctx)
         finally:
             self._inflight -= len(distinct)
-        by_key = {request.work_key: forecast
-                  for request, forecast in zip(distinct.values(), answers)}
         self.metrics.incr("server.requests", len(requests))
         body = {
             "schema_version": FORECAST_SCHEMA_VERSION,
-            "forecasts": [by_key[request.work_key].to_dict()
-                          for request in requests],
+            "forecasts": [answers[slot].to_dict() for slot in index],
         }
         return 200, body, None
 
@@ -342,11 +320,6 @@ class Dispatcher:
             storm = float(fault.payload.get("timeout_s", 0.0))
             timeout_s = storm if timeout_s is None else min(timeout_s, storm)
         trace_id = ctx.trace_id if ctx is not None else None
-        if self.microbatch_window_s is not None and ctx is None:
-            # Untraced requests only: a traced request's span tree and
-            # body-echoed trace_id are per-request state the shared
-            # batch answer could not carry faithfully.
-            return await self._run_coalesced(request, timeout_s)
         future = self.engine.submit(request, trace_id)
         try:
             forecast = await asyncio.wait_for(
@@ -356,51 +329,6 @@ class Dispatcher:
             future.cancel()  # frees the slot if the pool never started it
             forecast = self.engine.timeout_forecast(request, timeout_s)
         return self._stamp(forecast, ctx)
-
-    async def _run_coalesced(self, request: ForecastRequest,
-                             timeout_s: float | None) -> Forecast:
-        """Join (or open) the micro-batch group for this deadline.
-
-        Groups are keyed by effective timeout so every member of one
-        ``query_batch`` call shares one deadline -- a request with a
-        tighter budget never inherits a looser one.  The engine
-        enforces the deadline itself (timeout members degrade to the
-        §VII-A baseline inside ``query_batch``), so no ``wait_for``
-        wrapper is needed here.
-        """
-        loop = asyncio.get_running_loop()
-        waiter = loop.create_future()
-        group = self._mb_groups.get(timeout_s)
-        if group is None:
-            group = _MicroBatch()
-            self._mb_groups[timeout_s] = group
-            loop.create_task(self._flush_microbatch(timeout_s))
-        group.requests.append(request)
-        group.waiters.append(waiter)
-        return await waiter
-
-    async def _flush_microbatch(self, timeout_key: float | None) -> None:
-        """After one window, run the whole group as one query_batch."""
-        await asyncio.sleep(self.microbatch_window_s)
-        group = self._mb_groups.pop(timeout_key, None)
-        if group is None:  # pragma: no cover - defensive
-            return
-        self.metrics.observe("server.microbatch.size",
-                             float(len(group.requests)))
-        loop = asyncio.get_running_loop()
-        try:
-            forecasts = await loop.run_in_executor(
-                None,
-                lambda: self.engine.query_batch(
-                    list(group.requests), timeout_s=timeout_key))
-        except BaseException as exc:
-            for waiter in group.waiters:
-                if not waiter.done():
-                    waiter.set_exception(exc)
-            return
-        for waiter, forecast in zip(group.waiters, forecasts):
-            if not waiter.done():
-                waiter.set_result(forecast)
 
     def _stamp(self, forecast: Forecast, ctx: TraceContext | None) -> Forecast:
         """Attach the request's trace id to answers minted outside the

@@ -78,12 +78,11 @@ class ForecastServer:
                  drain_timeout_s: float = 10.0,
                  close_engine: bool = True,
                  access_log: AccessLog | None = None,
-                 encode_cache: ResponseEncodeCache | None = None,
                  log=None) -> None:
         self.dispatcher = dispatcher
-        #: Opt-in response-encode cache (``--encode-cache``): untraced
-        #: repeat 200-forecast bodies skip ``json.dumps`` entirely.
-        self.encode_cache = encode_cache
+        #: Response-encode cache: untraced repeat 200-forecast bodies
+        #: skip ``json.dumps`` entirely.
+        self.encode_cache = ResponseEncodeCache()
         #: Structured request logging (None = off).  One JSON line per
         #: served request, subject to the log's own sampling policy.
         self.access_log = access_log
@@ -201,16 +200,14 @@ class ForecastServer:
     # ----- connection handling -----
 
     def _transport_stats(self) -> dict:
-        stats = {
+        cache = self.encode_cache.stats()
+        return {
             "connections": len(self._connections),
             "max_connections": self.max_connections,
+            "encode_cache_entries": cache["entries"],
+            "encode_cache_hits": cache["hits"],
+            "encode_cache_misses": cache["misses"],
         }
-        if self.encode_cache is not None:
-            cache = self.encode_cache.stats()
-            stats["encode_cache_entries"] = cache["entries"]
-            stats["encode_cache_hits"] = cache["hits"]
-            stats["encode_cache_misses"] = cache["misses"]
-        return stats
 
     def _admit_connection(self) -> bool:
         if len(self._connections) >= self.max_connections:
@@ -265,15 +262,13 @@ class ForecastServer:
                              path=request.path)
                 keep = request.keep_alive and not self._shutting_down
                 wire_body = body
-                if self.encode_cache is not None:
-                    key = ResponseEncodeCache.key_for(
-                        op, status, ctx is not None, body)
-                    if key is not None:
-                        cached = self.encode_cache.get(key)
-                        if cached is None:
-                            cached = encode_json_body(body)
-                            self.encode_cache.put(key, cached)
-                        wire_body = cached
+                key = ResponseEncodeCache.key_for(
+                    op, status, ctx is not None, body)
+                if key is not None:
+                    wire_body = self.encode_cache.get(key)
+                    if wire_body is None:
+                        wire_body = encode_json_body(body)
+                        self.encode_cache.put(key, wire_body)
                 writer.write(render_response(
                     status, wire_body, keep_alive=keep, retry_after_s=retry,
                     trace_id=ctx.trace_id if ctx else None))

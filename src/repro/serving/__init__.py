@@ -11,8 +11,6 @@ shape (the §I/§VI-B mitigation-provider story):
 * :mod:`repro.serving.engine` -- single and batched forecast queries,
   coalesced and fanned across a thread pool, degrading to the §VII-A
   baselines when the model cannot answer.
-* :mod:`repro.serving.metrics` -- counters, latency histograms and
-  cache statistics behind one ``snapshot()``.
 * :mod:`repro.serving.sharded` -- the same engine surface over N
   worker processes, partitioned by a stable hash of the per-target
   query key, with crash restart and §VII-A degradation.
@@ -39,7 +37,7 @@ from repro.serving.engine import (
     ForecastRequest,
 )
 from repro.serving.engine import BaselineFallback
-from repro.serving.metrics import LatencyHistogram, ServingMetrics, Telemetry
+from repro.telemetry import LatencyHistogram, Telemetry
 from repro.serving.registry import ModelKey, ModelRegistry, RegisteredModel
 from repro.serving.sharded import ShardedForecastEngine, shard_index
 
@@ -52,7 +50,6 @@ __all__ = [
     "ForecastEngine",
     "ForecastRequest",
     "LatencyHistogram",
-    "ServingMetrics",
     "Telemetry",
     "ModelKey",
     "ModelRegistry",

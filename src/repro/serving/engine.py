@@ -13,9 +13,11 @@ Request flow::
                                      baseline fallback (§VII-A),
                                      answer flagged ``degraded``
 
-Batches coalesce duplicate (asn, family, now) work, fan the distinct
-work across a thread pool, and apply a per-request timeout.  Every
-path is counted in :class:`~repro.serving.metrics.ServingMetrics`.
+Batches coalesce duplicate (asn, family, now) work (:func:`coalesce`),
+fan the distinct work across a thread pool, and apply one deadline.
+Every path is counted in :class:`~repro.telemetry.Telemetry`.  The
+query surface lives in a base class the multi-process
+:class:`~repro.serving.sharded.ShardedForecastEngine` shares.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.evaluation.reporting import prediction_from_dict, prediction_to_dict
 from repro.errors import EngineClosedError
 from repro.serving.cache import LRUTTLCache
 from repro.serving.registry import ModelRegistry, RegisteredModel
-from repro.telemetry import ServingMetrics, Span
+from repro.telemetry import Span, Telemetry
 
 __all__ = [
     "ForecastRequest",
@@ -43,6 +45,7 @@ __all__ = [
     "ForecastEngine",
     "BaselineFallback",
     "EngineClosedError",
+    "coalesce",
 ]
 
 #: Sentinel for "use the engine-level default timeout" on per-call
@@ -162,7 +165,7 @@ class BaselineFallback:
     are a single code path with a single wire shape.
     """
 
-    def __init__(self, trace: AttackTrace, metrics: ServingMetrics) -> None:
+    def __init__(self, trace: AttackTrace, metrics: Telemetry) -> None:
         self.trace = trace
         self.metrics = metrics
         # (attacks list, its length, {pool key: (starts, columns)}):
@@ -221,30 +224,209 @@ class BaselineFallback:
         return entry
 
 
-class ForecastEngine:
+def coalesce(requests: Sequence[ForecastRequest], metrics: Telemetry
+             ) -> tuple[list[ForecastRequest], list[int]]:
+    """Fold duplicate requests: the distinct ones plus a fan-out index.
+
+    ``distinct[index[i]]`` answers ``requests[i]``; requests with equal
+    :attr:`~ForecastRequest.work_key` share one computation.  Counts the
+    folded duplicates under ``serving.coalesced``.
+    """
+    slots: dict[tuple, int] = {}
+    distinct: list[ForecastRequest] = []
+    index = []
+    for request in requests:
+        slot = slots.setdefault(request.work_key, len(distinct))
+        if slot == len(distinct):
+            distinct.append(request)
+        index.append(slot)
+    metrics.incr("serving.coalesced", len(requests) - len(distinct))
+    return distinct, index
+
+
+class _EngineBase:
+    """The query surface both engine flavors share.
+
+    Owns request building, coalescing, deadlines, latency and trace
+    stamping, §VII-A degradation and the lifecycle flag.  A flavor
+    supplies :meth:`_start` (begin answering distinct requests, one
+    future -- or, when answered inline, the Forecast itself -- each) and
+    :meth:`_patience` (how long to wait for them), plus its own
+    ``submit`` and ``close``.
+    """
+
+    def __init__(self, trace: AttackTrace, env: SimulationEnvironment,
+                 config: SpatiotemporalConfig | None,
+                 metrics: Telemetry | None, timeout_s: float | None) -> None:
+        self.trace = trace
+        self.env = env
+        self.config = config
+        self.metrics = metrics or Telemetry()
+        self.timeout_s = timeout_s
+        self._baseline = BaselineFallback(trace, self.metrics)
+        self._closed = False
+
+    def _start(self, requests: Sequence[ForecastRequest],
+               timeout: float | None, trace_id: str | None
+               ) -> list[Future | Forecast]:
+        raise NotImplementedError
+
+    def _patience(self, timeout: float) -> float:
+        raise NotImplementedError
+
+    # ----- lifecycle -----
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has begun (new queries are rejected)."""
+        return self._closed
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # ----- queries -----
+
+    def query(self, request: ForecastRequest | None = None, *,
+              asn: int | None = None, family: str | None = None,
+              now: float | None = None, timeout_s: object = _UNSET,
+              trace_id: str | None = None) -> Forecast:
+        """Answer one forecast request (built from kwargs if omitted).
+
+        ``timeout_s`` overrides the engine-level default for this call
+        only -- the hook the network front end uses to map per-request
+        deadlines onto engine timeouts.  ``trace_id`` marks the call as
+        traced: the answer echoes the id and carries a
+        ``serving.query`` span.
+        """
+        if request is None:
+            if asn is None or family is None:
+                raise ValueError("need a ForecastRequest or asn= and family=")
+            request = ForecastRequest(asn=asn, family=family, now=now)
+        self._ensure_open()
+        timeout = self._resolve_timeout(timeout_s)
+        self.metrics.incr("serving.queries")
+        start_s, t0 = time.time(), time.perf_counter()
+        [future] = self._start([request], timeout, trace_id)
+        forecast = self._await(request, future, timeout,
+                               self._deadline(timeout))
+        forecast.latency_s = time.perf_counter() - t0
+        self.metrics.observe("serving.query", forecast.latency_s)
+        self._stamp_trace(forecast, trace_id, start_s)
+        return forecast
+
+    def query_batch(self, requests: Sequence[ForecastRequest], *,
+                    timeout_s: object = _UNSET,
+                    trace_id: str | None = None) -> list[Forecast]:
+        """Answer many requests, coalescing duplicates.
+
+        Results come back in request order; duplicate requests share
+        one computation (and therefore one answer object).  One
+        deadline covers the whole batch.  ``timeout_s`` overrides the
+        engine default per call, as in :meth:`query`; ``trace_id`` (one
+        per batch -- the batch is the request) stamps every distinct
+        answer.
+        """
+        self._ensure_open()
+        timeout = self._resolve_timeout(timeout_s)
+        self.metrics.incr("serving.batches")
+        self.metrics.incr("serving.queries", len(requests))
+        distinct, index = coalesce(requests, self.metrics)
+        start_s, t0 = time.time(), time.perf_counter()
+        futures = self._start(distinct, timeout, trace_id)
+        deadline = self._deadline(timeout)
+        answers = [self._await(request, future, timeout, deadline)
+                   for request, future in zip(distinct, futures)]
+        elapsed = time.perf_counter() - t0
+        for forecast in answers:
+            forecast.latency_s = elapsed
+            self._stamp_trace(forecast, trace_id, start_s)
+        self.metrics.observe("serving.batch", elapsed)
+        return [answers[slot] for slot in index]
+
+    def timeout_forecast(self, request: ForecastRequest,
+                         timeout_s: float) -> Forecast:
+        """Deadline-exceeded answer: count the timeout, degrade to baseline.
+
+        The async front end calls this when its own ``wait_for`` fires,
+        so network deadlines and engine timeouts land on the same
+        fallback path and the same ``serving.timeouts`` counter.
+        """
+        self.metrics.incr("serving.timeouts")
+        return self.fallback(request, error=f"timeout after {timeout_s}s")
+
+    def fallback(self, request: ForecastRequest,
+                 error: str | None = None) -> Forecast:
+        """Baseline-backed degraded answer (§VII-A naive predictors).
+
+        Public because the network front end reuses it for overload
+        shedding: a 429 still carries a naive-baseline forecast, so
+        clients degrade instead of starving.
+        """
+        return self._baseline.forecast(request, error=error)
+
+    # ----- internals -----
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise EngineClosedError("engine is closed")
+
+    def _resolve_timeout(self, timeout_s: object) -> float | None:
+        return self.timeout_s if timeout_s is _UNSET else timeout_s  # type: ignore[return-value]
+
+    def _deadline(self, timeout: float | None) -> float | None:
+        if timeout is None:
+            return None
+        return time.monotonic() + self._patience(timeout)
+
+    def _await(self, request: ForecastRequest, future: Future | Forecast,
+               timeout: float | None, deadline: float | None) -> Forecast:
+        if isinstance(future, Forecast):  # answered inline by _start
+            return future
+        remaining = (None if deadline is None
+                     else max(0.0, deadline - time.monotonic()))
+        try:
+            return future.result(timeout=remaining)
+        except TimeoutError:
+            return self.timeout_forecast(request, timeout)
+        except Exception as exc:  # defensive: answers should not raise
+            self.metrics.incr("serving.errors")
+            return self.fallback(request, error=str(exc))
+
+    def _stamp_trace(self, forecast: Forecast, trace_id: str | None,
+                     start_s: float) -> None:
+        """Mark a traced answer: echo the id, record this hop's span."""
+        if trace_id is None:
+            return
+        forecast.trace_id = trace_id
+        forecast.spans = forecast.spans + [Span(
+            name="serving.query", start_s=start_s,
+            elapsed_s=forecast.latency_s,
+            outcome="degraded" if forecast.degraded else "ok",
+            detail={"source": forecast.source, "cached": forecast.cached},
+        ).to_dict()]
+
+
+class ForecastEngine(_EngineBase):
     """Batched, cached, degradation-aware forecast service for one trace."""
 
     def __init__(self, trace: AttackTrace, env: SimulationEnvironment,
                  config: SpatiotemporalConfig | None = None,
                  registry: ModelRegistry | None = None,
-                 metrics: ServingMetrics | None = None,
+                 metrics: Telemetry | None = None,
                  prediction_cache: LRUTTLCache | None = None,
                  max_workers: int = 4,
                  timeout_s: float | None = None) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        self.trace = trace
-        self.env = env
-        self.config = config
-        self.metrics = metrics or ServingMetrics()
+        super().__init__(trace, env, config, metrics, timeout_s)
         self.registry = registry or ModelRegistry(metrics=self.metrics)
         self.prediction_cache = prediction_cache or LRUTTLCache(max_entries=4096)
-        self.timeout_s = timeout_s
-        self._baseline = BaselineFallback(trace, self.metrics)
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="forecast"
         )
-        self._closed = False
         self._close_lock = threading.Lock()
 
     # ----- lifecycle -----
@@ -277,87 +459,7 @@ class ForecastEngine:
             self._closed = True
         self._pool.shutdown(wait=True, cancel_futures=False)
 
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has begun (new queries are rejected)."""
-        return self._closed
-
-    def __enter__(self) -> "ForecastEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ----- queries -----
-
-    def query(self, request: ForecastRequest | None = None, *,
-              asn: int | None = None, family: str | None = None,
-              now: float | None = None, timeout_s: object = _UNSET,
-              trace_id: str | None = None) -> Forecast:
-        """Answer one forecast request (built from kwargs if omitted).
-
-        ``timeout_s`` overrides the engine-level default for this call
-        only -- the hook the network front end uses to map per-request
-        deadlines onto engine timeouts.  ``trace_id`` marks the call as
-        traced: the answer echoes the id and carries a
-        ``serving.query`` span.
-        """
-        if request is None:
-            if asn is None or family is None:
-                raise ValueError("need a ForecastRequest or asn= and family=")
-            request = ForecastRequest(asn=asn, family=family, now=now)
-        if self._closed:
-            raise EngineClosedError("engine is closed")
-        timeout = self.timeout_s if timeout_s is _UNSET else timeout_s
-        self.metrics.incr("serving.queries")
-        start_s = time.time()
-        t0 = time.perf_counter()
-        if timeout is not None:
-            forecast = self._await(request, self._submit_answer(request), timeout)
-        else:
-            forecast = self._answer(request)
-        forecast.latency_s = time.perf_counter() - t0
-        self.metrics.observe("serving.query", forecast.latency_s)
-        self._stamp_trace(forecast, trace_id, start_s)
-        return forecast
-
-    def query_batch(self, requests: Sequence[ForecastRequest], *,
-                    timeout_s: object = _UNSET,
-                    trace_id: str | None = None) -> list[Forecast]:
-        """Answer many requests, coalescing duplicates across the pool.
-
-        Results come back in request order; duplicate requests share
-        one computation (and therefore one answer object).
-        ``timeout_s`` overrides the engine default per call, as in
-        :meth:`query`; ``trace_id`` (one per batch -- the batch is the
-        request) stamps every distinct answer.
-        """
-        if self._closed:
-            raise EngineClosedError("engine is closed")
-        timeout = self.timeout_s if timeout_s is _UNSET else timeout_s
-        self.metrics.incr("serving.batches")
-        self.metrics.incr("serving.queries", len(requests))
-        start_s = time.time()
-        t0 = time.perf_counter()
-        distinct: dict[tuple, ForecastRequest] = {}
-        for request in requests:
-            distinct.setdefault(request.work_key, request)
-        self.metrics.incr("serving.coalesced", len(requests) - len(distinct))
-
-        futures: dict[tuple, Future] = {
-            key: self._submit_answer(request)
-            for key, request in distinct.items()
-        }
-        answers = {
-            key: self._await(distinct[key], future, timeout)
-            for key, future in futures.items()
-        }
-        elapsed = time.perf_counter() - t0
-        for forecast in answers.values():
-            forecast.latency_s = elapsed
-            self._stamp_trace(forecast, trace_id, start_s)
-        self.metrics.observe("serving.batch", elapsed)
-        return [answers[request.work_key] for request in requests]
 
     def submit(self, request: ForecastRequest,
                trace_id: str | None = None) -> Future:
@@ -371,24 +473,12 @@ class ForecastEngine:
         should prefer :meth:`query`.  Raises
         :class:`EngineClosedError` once :meth:`close` has begun.
         """
-        if self._closed:
-            raise EngineClosedError("engine is closed")
+        self._ensure_open()
         self.metrics.incr("serving.queries")
         try:
             return self._pool.submit(self._timed_answer, request, trace_id)
         except RuntimeError as exc:  # pool shut down between check and submit
             raise EngineClosedError("engine is closed") from exc
-
-    def timeout_forecast(self, request: ForecastRequest,
-                         timeout_s: float) -> Forecast:
-        """Deadline-exceeded answer: count the timeout, degrade to baseline.
-
-        The async front end calls this when its own ``wait_for`` fires,
-        so network deadlines and engine timeouts land on the same
-        fallback path and the same ``engine.timeouts`` counter.
-        """
-        self.metrics.incr("serving.timeouts")
-        return self.fallback(request, error=f"timeout after {timeout_s}s")
 
     def model_version(self) -> int:
         """Current lineage version serving this engine's config (0 = unfitted).
@@ -408,11 +498,19 @@ class ForecastEngine:
 
     # ----- internals -----
 
-    def _submit_answer(self, request: ForecastRequest) -> Future:
+    def _start(self, requests: Sequence[ForecastRequest],
+               timeout: float | None, trace_id: str | None
+               ) -> list[Future | Forecast]:
+        """Answer on the pool; a lone request with no deadline runs inline."""
+        if timeout is None and len(requests) == 1:
+            return [self._answer(requests[0])]
         try:
-            return self._pool.submit(self._answer, request)
+            return [self._pool.submit(self._answer, r) for r in requests]
         except RuntimeError as exc:  # pool shut down between check and submit
             raise EngineClosedError("engine is closed") from exc
+
+    def _patience(self, timeout: float) -> float:
+        return timeout
 
     def _timed_answer(self, request: ForecastRequest,
                       trace_id: str | None = None) -> Forecast:
@@ -423,29 +521,6 @@ class ForecastEngine:
         self.metrics.observe("serving.query", forecast.latency_s)
         self._stamp_trace(forecast, trace_id, start_s)
         return forecast
-
-    def _stamp_trace(self, forecast: Forecast, trace_id: str | None,
-                     start_s: float) -> None:
-        """Mark a traced answer: echo the id, record this hop's span."""
-        if trace_id is None:
-            return
-        forecast.trace_id = trace_id
-        forecast.spans = forecast.spans + [Span(
-            name="serving.query", start_s=start_s,
-            elapsed_s=forecast.latency_s,
-            outcome="degraded" if forecast.degraded else "ok",
-            detail={"source": forecast.source, "cached": forecast.cached},
-        ).to_dict()]
-
-    def _await(self, request: ForecastRequest, future: Future,
-               timeout_s: float | None) -> Forecast:
-        try:
-            return future.result(timeout=timeout_s)
-        except TimeoutError:
-            return self.timeout_forecast(request, timeout_s)
-        except Exception as exc:  # defensive: _answer should not raise
-            self.metrics.incr("serving.errors")
-            return self.fallback(request, error=str(exc))
 
     def _answer(self, request: ForecastRequest) -> Forecast:
         try:
@@ -482,13 +557,3 @@ class ForecastEngine:
             request=request, prediction=prediction, source="model",
             degraded=False, model_version=model.version,
         )
-
-    def fallback(self, request: ForecastRequest,
-                 error: str | None = None) -> Forecast:
-        """Baseline-backed degraded answer (§VII-A naive predictors).
-
-        Public because the network front end reuses it for overload
-        shedding: a 429 still carries a naive-baseline forecast, so
-        clients degrade instead of starving.
-        """
-        return self._baseline.forecast(request, error=error)

@@ -31,7 +31,7 @@ from repro.persistence.state import (
 )
 from repro.persistence.store import ModelStore
 from repro.serving.cache import LRUTTLCache
-from repro.serving.metrics import ServingMetrics
+from repro.telemetry import Telemetry
 
 __all__ = ["ModelKey", "RegisteredModel", "ModelRegistry"]
 
@@ -156,11 +156,11 @@ class ModelRegistry:
 
     def __init__(self, factory: PredictorFactory | None = None,
                  cache: LRUTTLCache | None = None,
-                 metrics: ServingMetrics | None = None) -> None:
+                 metrics: Telemetry | None = None) -> None:
         self.factory = factory or _default_factory
         self._factory_warm = _accepts_warm_from(self.factory)
         self.cache = cache or LRUTTLCache(max_entries=8)
-        self.metrics = metrics or ServingMetrics()
+        self.metrics = metrics or Telemetry()
         self._lock = threading.Lock()
         self._versions: dict[str, int] = {}
         self._latest: dict[str, RegisteredModel] = {}

@@ -21,12 +21,13 @@ Topology::
 Operational contracts (all mirrored from the single-process tier so
 the two paths cannot drift):
 
-* **Wire format** -- pipes carry the existing ``FORECAST_SCHEMA_VERSION``
-  dicts: workers answer with ``Forecast.to_dict()`` (which embeds
-  :func:`~repro.evaluation.reporting.prediction_to_dict`), the parent
-  rebuilds via ``Forecast.from_dict`` (which enforces the schema
-  version through ``prediction_from_dict``).  A worker speaking a
-  different schema is treated as dead, not trusted.
+* **Wire format** -- one ``("query", items)`` frame per shard and
+  call, each item ``(item_id, request, timeout, trace_id)``; one
+  ``("forecast", entries)`` reply with a ``forecast`` or ``error``
+  entry per item, so a poisoned item degrades only itself.  Forecast
+  entries are the existing ``FORECAST_SCHEMA_VERSION`` dicts
+  (``Forecast.to_dict()``), rebuilt via ``Forecast.from_dict``; an
+  entry in a different schema is degraded, not trusted.
 * **Warm boot** -- each worker restores its registry from the PR 2
   :class:`~repro.persistence.store.ModelStore` when ``store_path`` is
   given, so N shards do not pay N cold fits.
@@ -46,6 +47,7 @@ the two paths cannot drift):
 from __future__ import annotations
 
 import hashlib
+import itertools
 import multiprocessing
 import os
 import signal
@@ -54,7 +56,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.chaos.hooks import chaos_point
 from repro.core.spatiotemporal import SpatiotemporalConfig
@@ -63,16 +65,20 @@ from repro.dataset.records import AttackTrace
 from repro.evaluation.reporting import FORECAST_SCHEMA_VERSION
 from repro.serving.engine import (
     _UNSET,
-    BaselineFallback,
     EngineClosedError,
     Forecast,
     ForecastEngine,
     ForecastRequest,
+    _EngineBase,
 )
 from repro.serving.registry import ModelRegistry
-from repro.telemetry import ServingMetrics, Span
+from repro.telemetry import Span, Telemetry
 
 __all__ = ["ShardedForecastEngine", "ShardBoot", "shard_index"]
+
+
+#: Serializes pipe creation and fork across every sharded engine.
+_SPAWN_LOCK = threading.Lock()
 
 
 def shard_index(asn: int, family: str, n_shards: int) -> int:
@@ -120,8 +126,16 @@ def _request_from_wire(data: dict) -> ForecastRequest:
                            now=data["now"])
 
 
-def _shard_main(conn, boot: ShardBoot) -> None:
+def _error_entry(item_id: int, exc: Exception) -> tuple:
+    return (item_id, "error", {"error": f"{type(exc).__name__}: {exc}"})
+
+
+def _shard_main(conn, boot: ShardBoot, parent_end=None) -> None:
     """Worker process body: one registry + engine, serves its pipe."""
+    if parent_end is not None:
+        # A forked worker inherits the parent's end too; holding it
+        # would hide the parent closing the pipe (EOF) from ``recv``.
+        parent_end.close()
     # The parent owns interactive signals; workers exit via the pipe
     # ("stop" or EOF), SIGTERM, or SIGKILL (crash-tested).
     try:
@@ -131,7 +145,7 @@ def _shard_main(conn, boot: ShardBoot) -> None:
     try:
         from repro.serving.cache import LRUTTLCache
 
-        metrics = ServingMetrics()
+        metrics = Telemetry()
         if boot.factory is not None:
             registry = ModelRegistry(factory=boot.factory, metrics=metrics)
         else:
@@ -162,20 +176,48 @@ def _shard_main(conn, boot: ShardBoot) -> None:
             pass
         return
 
-    def resolve_timeout(wire_timeout) -> object:
-        return _UNSET if wire_timeout[0] == "default" else wire_timeout[1]
+    def answer(items: list) -> list:
+        """One reply entry per item; a failure degrades only its items.
 
-    def stamp_shard_span(forecasts, trace_id, start_s, elapsed_s) -> None:
-        """Label traced answers with this worker's ``shard.query`` hop."""
-        if trace_id is None:
-            return
-        span = Span(
-            name="shard.query", start_s=start_s, elapsed_s=elapsed_s,
-            outcome="ok", detail={"shard": boot.shard_id, "pid": os.getpid()},
-        ).to_dict()
-        for forecast in {id(f): f for f in forecasts}.values():
-            if forecast.trace_id is not None:
-                forecast.spans = forecast.spans + [span]
+        A one-item frame is answered by ``engine.query`` (inline when
+        there is no deadline); larger frames run one ``query_batch`` per
+        ``(timeout, trace_id)`` group, so duplicates coalesce while each
+        item keeps its own deadline and trace.
+        """
+        groups: dict[tuple, list] = {}
+        for item_id, wire_request, wire_timeout, trace_id in items:
+            groups.setdefault((wire_timeout, trace_id), []).append(
+                (item_id, wire_request))
+        entries = []
+        for (timeout, trace_id), members in groups.items():
+            try:
+                requests = [_request_from_wire(w) for _, w in members]
+                start_s, t0 = time.time(), time.perf_counter()
+                if len(requests) == 1:
+                    forecasts = [engine.query(requests[0], timeout_s=timeout,
+                                              trace_id=trace_id)]
+                else:
+                    forecasts = engine.query_batch(
+                        requests, timeout_s=timeout, trace_id=trace_id)
+            except Exception as exc:
+                entries += [_error_entry(item_id, exc) for item_id, _ in members]
+                continue
+            if trace_id is not None:
+                span = Span(
+                    name="shard.query", start_s=start_s,
+                    elapsed_s=time.perf_counter() - t0, outcome="ok",
+                    detail={"shard": boot.shard_id, "pid": os.getpid()},
+                ).to_dict()
+                for forecast in {id(f): f for f in forecasts}.values():
+                    forecast.spans = forecast.spans + [span]
+            for (item_id, _), forecast in zip(members, forecasts):
+                try:
+                    entries.append((item_id, "forecast",
+                                    {"schema_version": FORECAST_SCHEMA_VERSION}
+                                    | forecast.to_dict()))
+                except Exception as exc:  # an unencodable answer degrades alone
+                    entries.append(_error_entry(item_id, exc))
+        return entries
 
     while True:
         try:
@@ -185,79 +227,14 @@ def _shard_main(conn, boot: ShardBoot) -> None:
         op = message[0]
         if op == "stop":
             break
-        req_id = message[1]
-        trace_id = message[4] if len(message) > 4 else None
         try:
-            if op == "query":
-                request = _request_from_wire(message[2])
-                start_s = time.time()
-                t0 = time.perf_counter()
-                forecast = engine.query(request,
-                                        timeout_s=resolve_timeout(message[3]),
-                                        trace_id=trace_id)
-                stamp_shard_span([forecast], trace_id, start_s,
-                                 time.perf_counter() - t0)
-                conn.send(("forecast", req_id,
-                           {"schema_version": FORECAST_SCHEMA_VERSION}
-                           | forecast.to_dict()))
-            elif op == "query_batch":
-                requests = [_request_from_wire(item) for item in message[2]]
-                start_s = time.time()
-                t0 = time.perf_counter()
-                forecasts = engine.query_batch(
-                    requests, timeout_s=resolve_timeout(message[3]),
-                    trace_id=trace_id)
-                stamp_shard_span(forecasts, trace_id, start_s,
-                                 time.perf_counter() - t0)
-                conn.send(("forecast_batch", req_id, {
-                    "schema_version": FORECAST_SCHEMA_VERSION,
-                    "forecasts": [f.to_dict() for f in forecasts],
-                }))
-            elif op == "query_group":
-                # Parent-side micro-batch: many independent singles in
-                # one frame, each with its own deadline and trace.  Runs
-                # one ``query_batch`` per (timeout, trace) group so the
-                # engine's duplicate coalescing fires across the group
-                # while per-request semantics survive; one batched
-                # ``forecast_group`` frame answers the lot, with
-                # per-item error entries so a poisoned member can never
-                # strand its siblings' futures.
-                groups: dict[tuple, list] = {}
-                for item_id, wire_req, wire_t, item_trace in message[2]:
-                    groups.setdefault((wire_t, item_trace), []).append(
-                        (item_id, wire_req))
-                replies = []
-                for (wire_t, item_trace), members in groups.items():
-                    try:
-                        requests = [_request_from_wire(w) for _, w in members]
-                        start_s = time.time()
-                        t0 = time.perf_counter()
-                        forecasts = engine.query_batch(
-                            requests, timeout_s=resolve_timeout(wire_t),
-                            trace_id=item_trace)
-                        stamp_shard_span(forecasts, item_trace, start_s,
-                                         time.perf_counter() - t0)
-                        for (item_id, _), forecast in zip(members, forecasts):
-                            replies.append((
-                                item_id, "forecast",
-                                {"schema_version": FORECAST_SCHEMA_VERSION}
-                                | forecast.to_dict()))
-                    except Exception as exc:
-                        for item_id, _ in members:
-                            replies.append((item_id, "error", {
-                                "error": f"{type(exc).__name__}: {exc}"}))
-                conn.send(("forecast_group", req_id, replies))
-            elif op == "metrics":
-                conn.send(("metrics", req_id, engine.metrics_snapshot()))
+            if op == "metrics":
+                reply = ("metrics", message[1], engine.metrics_snapshot())
             else:
-                conn.send(("error", req_id,
-                           {"error": f"unknown shard op {op!r}"}))
-        except Exception as exc:  # defensive: answer, never die silently
-            try:
-                conn.send(("error", req_id,
-                           {"error": f"{type(exc).__name__}: {exc}"}))
-            except (BrokenPipeError, OSError):
-                break
+                reply = ("forecast", answer(message[1]))
+            conn.send(reply)
+        except (BrokenPipeError, OSError):
+            break
     engine.close()
     try:
         conn.close()
@@ -277,23 +254,22 @@ class _Shard:
     model_version: int = 0
     restarts: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
-    pending: dict = field(default_factory=dict)  # req_id -> (Future, kind)
+    # item id -> (Future, wire request); the wire request is None for a
+    # metrics scrape, which has no baseline to degrade to.  Ids come
+    # from ``ids`` under ``lock``.
+    pending: dict = field(default_factory=dict)
+    ids: Iterator[int] = field(default_factory=itertools.count)
     booted: threading.Event = field(default_factory=threading.Event)
-    # micro-batch outbox: (req_id, wire_request, wire_timeout, trace_id)
-    # tuples queued by ``submit`` and drained by the sender thread.
-    outbox: list = field(default_factory=list)
-    outbox_cond: threading.Condition = field(
-        default_factory=threading.Condition)
 
 
-class ShardedForecastEngine:
+class ShardedForecastEngine(_EngineBase):
     """N worker processes behind one ForecastEngine-shaped front.
 
     Drop-in for :class:`~repro.serving.engine.ForecastEngine` wherever
     the serving tier consumes one (``Dispatcher``, ``ForecastServer``,
-    the CLI): same ``query``/``query_batch``/``submit``/``fallback``/
-    ``timeout_forecast``/``close`` surface, same
-    :class:`~repro.serving.engine.Forecast` answers, same metrics
+    the CLI): the same shared ``query``/``query_batch``/``fallback``/
+    ``timeout_forecast`` surface plus ``submit``/``close``, the same
+    :class:`~repro.serving.engine.Forecast` answers, the same metrics
     vocabulary (parent-side counters under ``shard.*`` on top).
     """
 
@@ -310,23 +286,16 @@ class ShardedForecastEngine:
                  max_restart_backoff_s: float = 8.0,
                  boot_timeout_s: float = 120.0,
                  drain_timeout_s: float = 10.0,
-                 metrics: ServingMetrics | None = None,
-                 microbatch: bool = False,
+                 metrics: Telemetry | None = None,
                  mp_context: str | None = None) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        self.trace = trace
-        self.env = env
-        self.config = config
+        super().__init__(trace, env, config, metrics, timeout_s)
         self.n_shards = n_shards
-        self.microbatch = microbatch
-        self.metrics = metrics or ServingMetrics()
-        self.timeout_s = timeout_s
         self.restart_backoff_s = restart_backoff_s
         self.max_restart_backoff_s = max_restart_backoff_s
         self.boot_timeout_s = boot_timeout_s
         self.drain_timeout_s = drain_timeout_s
-        self._baseline = BaselineFallback(trace, self.metrics)
         self._boot_template = ShardBoot(
             shard_id=-1, n_shards=n_shards, trace=trace, env=env,
             config=config,
@@ -342,11 +311,8 @@ class ShardedForecastEngine:
         self._mp = multiprocessing.get_context(method)
         self._shards = [_Shard(id=i) for i in range(n_shards)]
         self._threads: list[threading.Thread] = []
-        self._req_ids = iter(range(1, 2**63))  # monotonically unique
-        self._req_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._started = False
-        self._closed = False
         self._stopping = False
 
     # ----- lifecycle -----
@@ -375,11 +341,6 @@ class ShardedForecastEngine:
         for shard in self._shards:
             shard.booted.wait(max(0.0, deadline - time.monotonic()))
         return self
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has begun (new queries are rejected)."""
-        return self._closed
 
     def close(self) -> None:
         """Drain in-flight queries, then reject new ones (idempotent).
@@ -413,8 +374,6 @@ class ShardedForecastEngine:
                         shard.conn.send(("stop",))
                     except (BrokenPipeError, OSError):
                         pass
-            with shard.outbox_cond:
-                shard.outbox_cond.notify_all()
         for thread in self._threads:
             thread.join(timeout=self.drain_timeout_s)
         for shard in self._shards:
@@ -430,123 +389,33 @@ class ShardedForecastEngine:
     def __enter__(self) -> "ShardedForecastEngine":
         return self.start()
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ----- queries (ForecastEngine surface) -----
+    # ----- queries -----
 
     def shard_for(self, request: ForecastRequest) -> int:
         """Which shard owns this request's (asn, family) slice."""
         return shard_index(request.asn, request.family, self.n_shards)
 
-    def query(self, request: ForecastRequest | None = None, *,
-              asn: int | None = None, family: str | None = None,
-              now: float | None = None, timeout_s: object = _UNSET,
-              trace_id: str | None = None) -> Forecast:
-        """Answer one forecast request (built from kwargs if omitted)."""
-        if request is None:
-            if asn is None or family is None:
-                raise ValueError("need a ForecastRequest or asn= and family=")
-            request = ForecastRequest(asn=asn, family=family, now=now)
-        t0 = time.perf_counter()
-        future = self.submit(request, timeout_s=timeout_s, trace_id=trace_id)
-        forecast = self._await(request, future, self._resolve_timeout(timeout_s))
-        forecast.latency_s = time.perf_counter() - t0
-        self.metrics.observe("serving.query", forecast.latency_s)
-        return forecast
-
-    def query_batch(self, requests: Sequence[ForecastRequest], *,
-                    timeout_s: object = _UNSET,
-                    trace_id: str | None = None) -> list[Forecast]:
-        """Answer many requests: coalesce, partition by shard, fan out.
-
-        One pipe message per shard carries that shard's whole slice, so
-        large batches amortize IPC; results come back in request order
-        with duplicates sharing one answer, exactly like
-        :meth:`ForecastEngine.query_batch`.
-        """
-        self._ensure_open()
-        self.metrics.incr("serving.batches")
-        self.metrics.incr("serving.queries", len(requests))
-        t0 = time.perf_counter()
-        distinct: dict[tuple, ForecastRequest] = {}
-        for request in requests:
-            distinct.setdefault(request.work_key, request)
-        self.metrics.incr("serving.coalesced", len(requests) - len(distinct))
-
-        by_shard: dict[int, list[ForecastRequest]] = {}
-        for request in distinct.values():
-            by_shard.setdefault(self.shard_for(request), []).append(request)
-
-        futures: list[tuple[list[ForecastRequest], Future]] = []
-        answers: dict[tuple, Forecast] = {}
-        for shard_id, slice_requests in by_shard.items():
-            shard = self._shards[shard_id]
-            future = self._send(
-                shard, "query_batch",
-                [_request_to_wire(r) for r in slice_requests],
-                timeout_s, slice_requests, trace_id=trace_id,
-            )
-            futures.append((slice_requests, future))
-
-        timeout = self._resolve_timeout(timeout_s)
-        deadline = (time.monotonic() + self._parent_patience(timeout)
-                    if timeout is not None else None)
-        for slice_requests, future in futures:
-            remaining = (max(0.0, deadline - time.monotonic())
-                         if deadline is not None else None)
-            try:
-                slice_forecasts = future.result(timeout=remaining)
-            except TimeoutError:
-                slice_forecasts = [self.timeout_forecast(r, timeout)
-                                   for r in slice_requests]
-            except Exception as exc:  # defensive: futures should not raise
-                self.metrics.incr("serving.errors")
-                slice_forecasts = [self.fallback(r, error=str(exc))
-                                   for r in slice_requests]
-            for request, forecast in zip(slice_requests, slice_forecasts):
-                answers[request.work_key] = forecast
-        elapsed = time.perf_counter() - t0
-        for forecast in answers.values():
-            forecast.latency_s = elapsed
-        self.metrics.observe("serving.batch", elapsed)
-        return [answers[request.work_key] for request in requests]
-
     def submit(self, request: ForecastRequest, trace_id: str | None = None, *,
                timeout_s: object = _UNSET) -> Future:
         """Schedule one request on its shard; resolves to a Forecast.
 
-        The future never carries an exception from the answer path: a
-        dead shard, a worker error, or a crash mid-request all resolve
-        to the §VII-A baseline (``degraded: true``).  Raises
+        Writes a one-item ``query`` frame from the caller's thread.  The
+        future never carries an exception from the answer path: a dead
+        shard, a worker error, or a crash mid-request all resolve to the
+        §VII-A baseline (``degraded: true``).  Raises
         :class:`EngineClosedError` once :meth:`close` has begun.
         ``trace_id`` rides the pipe so the worker stamps its
         ``shard.query`` span into the answer.
         """
         self._ensure_open()
         self.metrics.incr("serving.queries")
-        shard = self._shards[self.shard_for(request)]
-        return self._send(shard, "query", _request_to_wire(request),
-                          timeout_s, request, trace_id=trace_id)
-
-    def timeout_forecast(self, request: ForecastRequest,
-                         timeout_s: float) -> Forecast:
-        """Deadline-exceeded answer: count the timeout, degrade to baseline."""
-        self.metrics.incr("serving.timeouts")
-        return self.fallback(request, error=f"timeout after {timeout_s}s")
-
-    def fallback(self, request: ForecastRequest,
-                 error: str | None = None) -> Forecast:
-        """Parent-side §VII-A baseline (shared with the Dispatcher's 429s)."""
-        return self._baseline.forecast(request, error=error)
+        [future] = self._send(self._shards[self.shard_for(request)], [request],
+                              self._resolve_timeout(timeout_s), trace_id)
+        return future
 
     def model_version(self) -> int:
         """Highest model version any live shard reported at boot."""
         return max((s.model_version for s in self._shards), default=0)
-
-    def warm(self) -> None:
-        """Compatibility hook: shards warm themselves at boot."""
-        self.start()
 
     def shard_pids(self) -> list[int | None]:
         """Worker PIDs by shard index (None while a shard is down)."""
@@ -574,8 +443,8 @@ class ShardedForecastEngine:
                 }
             shards[str(shard.id)] = status
             if include_workers and shard.alive and not self._closed:
-                future = Future()
-                if self._send_raw(shard, "metrics", future, None):
+                future = self._scrape(shard)
+                if future is not None:
                     pending_metrics.append((shard, future))
         deadline = time.monotonic() + worker_timeout_s
         for shard, future in pending_metrics:
@@ -591,15 +460,25 @@ class ShardedForecastEngine:
     # ----- internals -----
 
     def _ensure_open(self) -> None:
-        if self._closed:
-            raise EngineClosedError("engine is closed")
+        super()._ensure_open()
         if not self._started:
             self.start()
 
-    def _resolve_timeout(self, timeout_s: object) -> float | None:
-        return self.timeout_s if timeout_s is _UNSET else timeout_s  # type: ignore[return-value]
+    def _start(self, requests: Sequence[ForecastRequest],
+               timeout: float | None, trace_id: str | None) -> list[Future]:
+        """Partition by owner shard: one ``query`` frame per shard."""
+        slots: dict[int, list[int]] = {}
+        for i, request in enumerate(requests):
+            slots.setdefault(self.shard_for(request), []).append(i)
+        futures: list[Future] = [None] * len(requests)  # type: ignore[list-item]
+        for shard_id, indices in slots.items():
+            sent = self._send(self._shards[shard_id],
+                              [requests[i] for i in indices], timeout, trace_id)
+            for i, future in zip(indices, sent):
+                futures[i] = future
+        return futures
 
-    def _parent_patience(self, timeout: float) -> float:
+    def _patience(self, timeout: float) -> float:
         """How long the parent waits before degrading locally.
 
         The worker applies the same timeout and answers with its own
@@ -608,143 +487,63 @@ class ShardedForecastEngine:
         """
         return timeout + max(0.25, 0.1 * timeout)
 
-    def _wire_timeout(self, timeout_s: object) -> tuple:
-        if timeout_s is _UNSET:
-            return ("default",)
-        return ("set", timeout_s)
+    def _stamp_trace(self, forecast: Forecast, trace_id: str | None,
+                     start_s: float) -> None:
+        """No parent hop: the worker's engine stamped the answer's spans."""
 
-    def _send(self, shard: _Shard, op: str, wire_payload, timeout_s: object,
-              origin, trace_id: str | None = None) -> Future:
-        """Queue one op on a shard; resolve immediately when it is down."""
+    def _send(self, shard: _Shard, requests: list[ForecastRequest],
+              timeout: float | None, trace_id: str | None) -> list[Future]:
+        """Write one ``query`` frame; resolve to baseline if the shard is down."""
+        futures = [Future() for _ in requests]
+        with shard.lock:
+            if shard.alive and shard.conn is not None:
+                items = []
+                for future, request in zip(futures, requests):
+                    item_id = next(shard.ids)
+                    wire_request = _request_to_wire(request)
+                    shard.pending[item_id] = (future, wire_request)
+                    items.append((item_id, wire_request, timeout, trace_id))
+                try:
+                    chaos_point(f"shard.send[{shard.id}]", op="query")
+                    shard.conn.send(("query", items))
+                    return futures
+                except (BrokenPipeError, OSError):
+                    for item in items:
+                        shard.pending.pop(item[0], None)
+        self.metrics.incr("shard.down_shard_answers")
+        error = (f"shard {shard.id} is down (restarting); "
+                 "serving the naive baseline")
+        for future, request in zip(futures, requests):
+            _resolve(future, self.fallback(request, error=error))
+        return futures
+
+    def _scrape(self, shard: _Shard) -> Future | None:
+        """Ask one worker for its metrics snapshot; None when it is down."""
         future: Future = Future()
-        if not self._send_raw(shard, op, future,
-                              (wire_payload, timeout_s, trace_id)):
-            self.metrics.incr("shard.down_shard_answers")
-            error = (f"shard {shard.id} is down (restarting); "
-                     "serving the naive baseline")
-            if op == "query":
-                _resolve(future, self.fallback(origin, error=error))
-            else:
-                _resolve(future,
-                         [self.fallback(r, error=error) for r in origin])
-        return future
-
-    def _send_raw(self, shard: _Shard, op: str, future: Future,
-                  payload) -> bool:
-        """Register + transmit; False when the shard cannot take work.
-
-        With ``microbatch`` on, single ``query`` ops are queued on the
-        shard's outbox instead of hitting the pipe directly; the sender
-        thread drains everything queued into one ``query_group`` frame,
-        so N concurrent singles cost one pickle+write, not N.
-        """
         with shard.lock:
             if not shard.alive or shard.conn is None:
-                return False
-            with self._req_lock:
-                req_id = next(self._req_ids)
-            if payload is None:
-                message = (op, req_id)
-                shard.pending[req_id] = (future, op, None)
-            else:
-                wire_payload, timeout_s, trace_id = payload
-                message = (op, req_id, wire_payload,
-                           self._wire_timeout(timeout_s), trace_id)
-                shard.pending[req_id] = (future, op, wire_payload)
-            if self.microbatch and op == "query":
-                try:
-                    chaos_point(f"shard.send[{shard.id}]", op=op)
-                except OSError:
-                    shard.pending.pop(req_id, None)
-                    return False
-                with shard.outbox_cond:
-                    shard.outbox.append(
-                        (req_id, wire_payload,
-                         self._wire_timeout(timeout_s), trace_id))
-                    shard.outbox_cond.notify()
-                return True
+                return None
+            req_id = next(shard.ids)
+            shard.pending[req_id] = (future, None)
             try:
-                chaos_point(f"shard.send[{shard.id}]", op=op)
-                shard.conn.send(message)
+                chaos_point(f"shard.send[{shard.id}]", op="metrics")
+                shard.conn.send(("metrics", req_id))
             except (BrokenPipeError, OSError):
                 shard.pending.pop(req_id, None)
-                return False
-        return True
-
-    def _sender(self, shard: _Shard, conn) -> None:
-        """Drain the shard outbox into batched frames until death.
-
-        One thread per worker boot.  Each flush sends whatever piled up
-        while the previous flush was in flight -- the pipe write is the
-        batching window, so a lone caller still goes out immediately
-        (as a plain ``query`` frame, identical wire cost to today).
-        """
-        while True:
-            with shard.outbox_cond:
-                while (not shard.outbox and shard.alive
-                       and not self._stopping and not self._closed):
-                    shard.outbox_cond.wait(0.05)
-                if not shard.outbox:
-                    if not shard.alive or self._stopping or self._closed:
-                        return
-                    continue
-                items = shard.outbox
-                shard.outbox = []
-            self.metrics.observe("shard.microbatch.size", float(len(items)))
-            try:
-                if len(items) == 1:
-                    req_id, wire_payload, wire_timeout, trace_id = items[0]
-                    conn.send(("query", req_id, wire_payload,
-                               wire_timeout, trace_id))
-                else:
-                    with self._req_lock:
-                        group_id = next(self._req_ids)
-                    conn.send(("query_group", group_id, items))
-            except (BrokenPipeError, OSError):
-                self._fail_sent(shard, items)
-                return
-
-    def _fail_sent(self, shard: _Shard, items: list) -> None:
-        """Resolve outbox entries whose pipe write failed to baseline."""
-        with shard.lock:
-            for req_id, wire_payload, _wire_timeout, _trace_id in items:
-                entry = shard.pending.pop(req_id, None)
-                if entry is None:
-                    continue
-                future, _op, _wire = entry
-                self.metrics.incr("shard.failed_inflight")
-                request = _request_from_wire(wire_payload)
-                _resolve(future, self.fallback(
-                    request,
-                    error=(f"shard {shard.id} pipe failed mid-send; "
-                           "serving the naive baseline")))
+                return None
+        return future
 
     def _fail_pending_locked(self, shard: _Shard, reason: str) -> None:
         """Resolve every pending future to a baseline answer (lock held)."""
         pending, shard.pending = shard.pending, {}
-        for future, op, wire_payload in pending.values():
-            self.metrics.incr("shard.failed_inflight")
-            error = f"shard {shard.id}: {reason}; serving the naive baseline"
-            if op == "query":
-                request = _request_from_wire(wire_payload)
-                _resolve(future, self.fallback(request, error=error))
-            elif op == "query_batch":
-                requests = [_request_from_wire(item) for item in wire_payload]
-                _resolve(future,
-                         [self.fallback(r, error=error) for r in requests])
-            else:  # metrics and friends: no baseline to give
+        error = f"shard {shard.id}: {reason}; serving the naive baseline"
+        for future, wire_request in pending.values():
+            if wire_request is None:  # a metrics scrape: no baseline to give
                 _resolve(future, None)
-
-    def _await(self, request: ForecastRequest, future: Future,
-               timeout: float | None) -> Forecast:
-        patience = self._parent_patience(timeout) if timeout is not None else None
-        try:
-            return future.result(timeout=patience)
-        except TimeoutError:
-            return self.timeout_forecast(request, timeout)
-        except Exception as exc:  # defensive: futures should not raise
-            self.metrics.incr("serving.errors")
-            return self.fallback(request, error=str(exc))
+                continue
+            self.metrics.incr("shard.failed_inflight")
+            _resolve(future, self.fallback(_request_from_wire(wire_request),
+                                           error=error))
 
     # ----- per-shard lifecycle thread -----
 
@@ -755,26 +554,14 @@ class ShardedForecastEngine:
         while not self._stopping and not self._closed:
             booted = self._boot_shard(shard, first_boot=first)
             shard.booted.set()
-            sender = None
-            if booted:
+            # A boot that lands after close() began missed its "stop";
+            # skip the pump so the reap below ends the worker instead.
+            if booted and not self._stopping:
                 backoff = self.restart_backoff_s  # healthy boot resets it
-                if self.microbatch:
-                    sender = threading.Thread(
-                        target=self._sender, args=(shard, shard.conn),
-                        name=f"shard-{shard.id}-sender", daemon=True)
-                    sender.start()
                 self._pump(shard)
             with shard.lock:
                 shard.alive = False
                 self._fail_pending_locked(shard, "worker died")
-            with shard.outbox_cond:
-                # Queued-but-unsent work was already failed to baseline
-                # above (it is registered in ``pending``); drop the
-                # stale outbox so a restarted worker never replays it.
-                shard.outbox = []
-                shard.outbox_cond.notify_all()
-            if sender is not None:
-                sender.join(timeout=1.0)
             if self._stopping or self._closed:
                 break
             self.metrics.incr("shard.worker_deaths" if booted
@@ -789,18 +576,22 @@ class ShardedForecastEngine:
         self._reap(shard)
         boot = ShardBoot(**{**self._boot_template.__dict__,
                             "shard_id": shard.id})
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        process = self._mp.Process(
-            target=_shard_main, args=(child_conn, boot),
-            name=f"repro-shard-{shard.id}", daemon=True,
-        )
-        try:
-            process.start()
-        except Exception:
-            parent_conn.close()
-            child_conn.close()
-            return False
-        child_conn.close()
+        # Forked siblings inherit open descriptors: a worker forked while
+        # this pipe's child end is still open in the parent would keep it
+        # alive, and this worker's death would never read as EOF.
+        with _SPAWN_LOCK:
+            parent_conn, child_conn = self._mp.Pipe(duplex=True)
+            process = self._mp.Process(
+                target=_shard_main, args=(child_conn, boot, parent_conn),
+                name=f"repro-shard-{shard.id}", daemon=True,
+            )
+            try:
+                process.start()
+            except Exception:
+                parent_conn.close()
+                return False
+            finally:
+                child_conn.close()
         if not parent_conn.poll(self.boot_timeout_s):
             process.terminate()
             parent_conn.close()
@@ -828,7 +619,7 @@ class ShardedForecastEngine:
         return True
 
     def _pump(self, shard: _Shard) -> None:
-        """Deliver worker responses to their futures until EOF."""
+        """Deliver worker replies to their futures until EOF."""
         conn = shard.conn
         while True:
             try:
@@ -836,58 +627,31 @@ class ShardedForecastEngine:
                 message = conn.recv()
             except (EOFError, OSError):
                 return
-            kind, req_id, payload = message
-            if kind == "forecast_group":
-                # One batched frame answering many pending singles;
-                # per-item kinds so an error entry degrades only its
-                # own future.
-                for item_id, item_kind, item_payload in payload:
-                    with shard.lock:
-                        entry = shard.pending.pop(item_id, None)
-                    if entry is None:
-                        continue  # caller gave up (parent timeout)
-                    future, _op, wire_payload = entry
-                    if item_kind == "forecast":
-                        _resolve(future, self._forecast_from_wire(
-                            item_payload, wire_payload, shard))
-                    else:
-                        self.metrics.incr("shard.worker_errors")
-                        request = _request_from_wire(wire_payload)
-                        _resolve(future, self.fallback(
-                            request,
-                            error=item_payload.get("error", "worker error")))
-                continue
-            with shard.lock:
-                entry = shard.pending.pop(req_id, None)
-            if entry is None:
-                continue  # caller gave up (parent timeout); drop it
-            future, op, wire_payload = entry
-            if kind == "forecast":
-                _resolve(future, self._forecast_from_wire(
-                    payload, wire_payload, shard))
-            elif kind == "forecast_batch":
-                requests = [_request_from_wire(item) for item in wire_payload]
-                _resolve(future, self._batch_from_wire(
-                    payload, requests, shard))
-            elif kind == "metrics":
-                _resolve(future, payload)
-            else:  # "error": worker answered with a failure note
-                self.metrics.incr("shard.worker_errors")
-                error = payload.get("error", "worker error")
-                if op == "query_batch":
-                    requests = [_request_from_wire(item)
-                                for item in wire_payload]
-                    _resolve(future, [self.fallback(r, error=error)
-                                      for r in requests])
-                elif op == "query":
-                    request = _request_from_wire(wire_payload)
-                    _resolve(future, self.fallback(request, error=error))
-                else:
-                    _resolve(future, None)
+            if message[0] == "metrics":
+                _, req_id, snapshot = message
+                entries = [(req_id, "metrics", snapshot)]
+            else:
+                entries = message[1]
+            for item_id, kind, payload in entries:
+                with shard.lock:
+                    entry = shard.pending.pop(item_id, None)
+                if entry is None:
+                    continue  # caller gave up (parent timeout); drop it
+                future, wire_request = entry
+                _resolve(future, payload if kind == "metrics" else
+                         self._decode(shard, kind, payload, wire_request))
 
-    def _forecast_from_wire(self, payload: dict, wire_request: dict,
-                            shard: _Shard) -> Forecast:
-        """Decode one worker answer, enforcing the forecast schema."""
+    def _decode(self, shard: _Shard, kind: str, payload: dict,
+                wire_request: dict) -> Forecast:
+        """One reply entry as a Forecast, enforcing the forecast schema.
+
+        An ``error`` entry or an entry in another schema degrades to the
+        parent's §VII-A baseline and is counted.
+        """
+        if kind == "error":
+            self.metrics.incr("shard.worker_errors")
+            return self.fallback(_request_from_wire(wire_request),
+                                 error=payload.get("error", "worker error"))
         try:
             if payload.get("schema_version") != FORECAST_SCHEMA_VERSION:
                 raise ValueError(
@@ -899,26 +663,6 @@ class ShardedForecastEngine:
             self.metrics.incr("shard.wire_errors")
             return self.fallback(_request_from_wire(wire_request),
                                  error=str(exc))
-
-    def _batch_from_wire(self, payload: dict,
-                         requests: list[ForecastRequest],
-                         shard: _Shard) -> list[Forecast]:
-        try:
-            if payload.get("schema_version") != FORECAST_SCHEMA_VERSION:
-                raise ValueError(
-                    f"shard {shard.id} speaks forecast schema "
-                    f"{payload.get('schema_version')!r}, parent reads "
-                    f"{FORECAST_SCHEMA_VERSION}")
-            forecasts = [Forecast.from_dict(item)
-                         for item in payload["forecasts"]]
-            if len(forecasts) != len(requests):
-                raise ValueError(
-                    f"shard {shard.id} answered {len(forecasts)} of "
-                    f"{len(requests)} batch requests")
-            return forecasts
-        except Exception as exc:
-            self.metrics.incr("shard.wire_errors")
-            return [self.fallback(r, error=str(exc)) for r in requests]
 
     def _reap(self, shard: _Shard) -> None:
         with shard.lock:

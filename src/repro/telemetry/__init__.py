@@ -1,7 +1,7 @@
 """One observability layer for the whole serving stack.
 
 ``repro.telemetry`` is where the stack's three formerly ad-hoc
-telemetry surfaces (in-process ``ServingMetrics``, the sharded
+telemetry surfaces (the in-process engine's counters, the sharded
 engine's ``sharded.*`` counters, the cluster client's ``cluster.*``
 counters) converge:
 
@@ -25,7 +25,6 @@ from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     METRICS_SCHEMA_VERSION,
     LatencyHistogram,
-    ServingMetrics,
     Telemetry,
     merge_snapshots,
     to_prometheus,
@@ -44,7 +43,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "METRICS_SCHEMA_VERSION",
     "LatencyHistogram",
-    "ServingMetrics",
     "Span",
     "TRACE_HEADER",
     "Telemetry",

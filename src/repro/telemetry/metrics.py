@@ -17,11 +17,7 @@ lock, exported three ways from the same state:
 Counter names are namespaced by the layer that owns them --
 ``serving.*`` (engine + registry + caches), ``server.*`` (network
 front end), ``shard.*`` (worker processes), ``cluster.*`` (failover
-client) -- and the registry canonicalizes the legacy spellings
-(``engine.*``, ``sharded.*``, ``registry.*``) so a caller still on the
-old names lands in the same place as one on the new.
-``ServingMetrics`` remains as an alias of :class:`Telemetry`; the
-class grew a schema version and new export paths, not new semantics.
+client).
 """
 
 from __future__ import annotations
@@ -37,9 +33,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "METRICS_SCHEMA_VERSION",
     "LatencyHistogram",
-    "ServingMetrics",
     "Telemetry",
-    "canonical_metric_name",
     "merge_snapshots",
     "to_prometheus",
 ]
@@ -56,24 +50,6 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
-
-# Legacy counter/histogram prefixes -> the canonical namespace.  The
-# registry rewrites on the way in, so mixed-vintage callers cannot
-# split one logical counter across two names.
-_CANONICAL_PREFIXES: tuple[tuple[str, str], ...] = (
-    ("engine.", "serving."),
-    ("registry.", "serving.registry."),
-    ("sharded.", "shard."),
-)
-
-
-def canonical_metric_name(name: str) -> str:
-    """Map a legacy metric name onto its canonical namespace."""
-    for legacy, canonical in _CANONICAL_PREFIXES:
-        if name.startswith(legacy):
-            return canonical + name[len(legacy):]
-    return name
-
 
 class LatencyHistogram:
     """Fixed-bucket latency histogram with recent-sample quantiles."""
@@ -143,13 +119,11 @@ class Telemetry:
 
     def incr(self, name: str, by: int = 1) -> None:
         """Bump a named counter."""
-        name = canonical_metric_name(name)
         with self._lock:
             self._counters[name] += by
 
     def observe(self, name: str, seconds: float) -> None:
         """Record a latency sample under ``name``."""
-        name = canonical_metric_name(name)
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:
@@ -163,7 +137,7 @@ class Telemetry:
     def counter(self, name: str) -> int:
         """Current value of a counter (0 if never bumped)."""
         with self._lock:
-            return self._counters.get(canonical_metric_name(name), 0)
+            return self._counters.get(name, 0)
 
     def snapshot(self, cache_stats: dict | None = None) -> dict:
         """One JSON-safe view of every counter and histogram.
@@ -190,10 +164,6 @@ class Telemetry:
                       extra_gauges: Mapping[str, float] | None = None) -> str:
         """Prometheus text exposition of the current state."""
         return to_prometheus(self.snapshot(cache_stats), extra_gauges=extra_gauges)
-
-
-#: Historical name; PR 1..6 code and downstream imports keep working.
-ServingMetrics = Telemetry
 
 
 class _Timer:
@@ -367,9 +337,9 @@ def merge_snapshots(snapshots: Iterable[Mapping]) -> dict:
     for snap in snaps:
         uptime = max(uptime, float(snap.get("uptime_s", 0.0)))
         for name, value in (snap.get("counters") or {}).items():
-            counters[canonical_metric_name(name)] += int(value)
+            counters[name] += int(value)
         for name, hist in (snap.get("latency") or {}).items():
-            hist_parts[canonical_metric_name(name)].append(hist)
+            hist_parts[name].append(hist)
     return {
         "schema_version": METRICS_SCHEMA_VERSION,
         "replicas": len(snaps),

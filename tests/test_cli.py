@@ -46,12 +46,10 @@ class TestParser:
             assert (args.trace, args.days, args.seed, args.scale,
                     args.targets) == ("t.jsonl.gz", 9, 4, 0.3, 12), command
 
-    def test_deprecated_aliases_still_parse(self):
-        args = build_parser().parse_args(
-            ["table1", "--n-days", "7", "--n-targets", "11"]
-        )
-        assert args.days == 7
-        assert args.targets == 11
+    def test_removed_aliases_are_rejected(self):
+        for flag in ("--n-days", "--n-targets"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["table1", flag, "7"])
 
     def test_deprecated_aliases_hidden_from_help(self):
         parser = build_parser()

@@ -37,7 +37,7 @@ from repro.core.spatiotemporal import AttackPrediction
 from repro.dataset import DatasetConfig, TraceGenerator, save_trace
 from repro.serving import ForecastEngine, ModelRegistry
 from repro.serving.engine import BaselineFallback
-from repro.serving.metrics import ServingMetrics
+from repro.telemetry import Telemetry
 from repro.server import Dispatcher, ForecastServer
 
 
@@ -219,7 +219,7 @@ def make_client(servers, trace, metrics=None, **config_kw):
                     for s in servers)
     defaults = {"probe_interval_s": 0.1, "cooldown_s": 0.05,
                 "max_cooldown_s": 0.5, "request_timeout_s": 5.0}
-    metrics = metrics or ServingMetrics()
+    metrics = metrics or Telemetry()
     return FailoverForecastClient(
         ClusterConfig.from_endpoints(spec, **(defaults | config_kw)),
         fallback=BaselineFallback(trace, metrics), metrics=metrics)
@@ -287,7 +287,7 @@ class TestFailoverClient:
     def test_all_replicas_down_degrades_to_baseline(self, small_trace):
         """Exhaustion: §VII-A baseline, degraded, names the dead members."""
         asn, family = small_trace.attacks[0].target_asn, small_trace.families()[0]
-        metrics = ServingMetrics()
+        metrics = Telemetry()
         config = ClusterConfig.from_endpoints(
             "127.0.0.1:9,127.0.0.1:10",  # discard ports: nothing listens
             cooldown_s=0.05, max_cooldown_s=0.1, request_timeout_s=1.0)
@@ -447,7 +447,7 @@ class TestReplicaSupervisor:
             assert supervisor.wait_ready(3, timeout_s=90.0)
 
             async def drive():
-                metrics = ServingMetrics()
+                metrics = Telemetry()
                 client = FailoverForecastClient(
                     supervisor.cluster_config(),
                     fallback=BaselineFallback(trace, metrics),
@@ -519,7 +519,7 @@ class TestReplicaSupervisor:
                 assert row["health_store"]["path"] == new_store
 
             async def ask():
-                metrics = ServingMetrics()
+                metrics = Telemetry()
                 client = FailoverForecastClient(
                     supervisor.cluster_config(),
                     fallback=BaselineFallback(trace, metrics),

@@ -152,6 +152,83 @@ class TestRecordJournal:
         with pytest.raises(ValueError, match="segment_max_records"):
             RecordJournal(tmp_path / "j", segment_max_records=0)
 
+    def test_concurrent_writers_get_dense_offsets(self, small_trace, tmp_path,
+                                                  monkeypatch):
+        """8 writers: dense unique offsets, one fsync per append."""
+        import repro.ingest.journal as journal_module
+
+        fsyncs = []
+        real_fsync = journal_module.os.fsync
+        monkeypatch.setattr(journal_module.os, "fsync",
+                            lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+        journal = RecordJournal(tmp_path / "j", fsync=True)
+        records = tagged(small_trace, "attack", 8)
+        acked = []
+        lock = threading.Lock()
+
+        def writer(record):
+            for _ in range(10):
+                offset = journal.append(record)
+                with lock:
+                    acked.append(offset)
+
+        threads = [threading.Thread(target=writer, args=(records[i],))
+                   for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        journal.close()
+        assert sorted(acked) == list(range(80))
+        assert [e.offset for e in journal.tail()] == list(range(80))
+        assert len(fsyncs) == 80
+
+    def test_failed_fsync_acknowledges_nobody(self, small_trace, tmp_path,
+                                              monkeypatch):
+        """Concurrent writers, one fsync fault: its caller alone fails."""
+        import repro.ingest.journal as journal_module
+
+        records = tagged(small_trace, "attack", 8)
+        journal = RecordJournal(tmp_path / "j", fsync=True)
+        barrier = threading.Barrier(4)
+        real_fsync = journal_module.os.fsync
+        state = {"failed": False}
+
+        def flaky_fsync(fd):
+            if not state["failed"]:
+                state["failed"] = True
+                raise OSError("injected fsync fault")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(journal_module.os, "fsync", flaky_fsync)
+        acked, errors = [], []
+        lock = threading.Lock()
+
+        def writer(record):
+            barrier.wait()
+            try:
+                offset = journal.append(record)
+            except JournalError:
+                with lock:
+                    errors.append(record)
+            else:
+                with lock:
+                    acked.append(offset)
+
+        threads = [threading.Thread(target=writer, args=(records[i],))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(errors) == 1 and len(acked) == 3
+        # The journal stays usable and loses no acknowledged offset.
+        post = journal.append(records[4])
+        journal.close()
+        on_disk = {e.offset for e in journal.tail()}
+        assert set(acked) <= on_disk
+        assert post in on_disk
+
 
 # ----- drift -----
 
@@ -629,7 +706,7 @@ class TestIngestAcceptance:
             ReplicaSupervisor,
         )
         from repro.serving.engine import BaselineFallback
-        from repro.serving.metrics import ServingMetrics
+        from repro.telemetry import Telemetry
 
         trace, env = seeded["trace"], seeded["env"]
         store_root = copy_store(seeded, tmp_path)
@@ -663,7 +740,7 @@ class TestIngestAcceptance:
 
         def drive_client():
             async def loop():
-                metrics = ServingMetrics()
+                metrics = Telemetry()
                 client = FailoverForecastClient(
                     supervisor.cluster_config(),
                     fallback=BaselineFallback(trace, metrics),

@@ -27,7 +27,13 @@ from repro.server import (
     encode_frame,
     read_frame,
 )
+from repro.server.http import (
+    ResponseEncodeCache,
+    encode_json_body,
+    render_response,
+)
 from repro.server.protocol import parse_forecast_request
+from repro.telemetry import TRACE_HEADER
 
 # Every test here talks to a live loopback server on an ephemeral port
 # (bind port 0 everywhere -- fully hermetic, no retries, no collisions).
@@ -458,3 +464,141 @@ class TestProtocolUnits:
         ):
             with pytest.raises(ProtocolError):
                 parse_forecast_request(bad)
+
+
+# ----- response rendering: byte identity ---------------------------------
+
+
+def _legacy_render(status, body, keep_alive=True, retry_after_s=None,
+                   trace_id=None):
+    """The straightforward header assembly, kept verbatim as the oracle."""
+    reasons = {
+        200: "OK", 400: "Bad Request", 404: "Not Found",
+        405: "Method Not Allowed", 408: "Request Timeout",
+        413: "Content Too Large", 429: "Too Many Requests",
+        431: "Request Header Fields Too Large",
+        500: "Internal Server Error", 503: "Service Unavailable",
+    }
+    if isinstance(body, str):
+        payload = body.encode("utf-8")
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
+    else:
+        payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
+        content_type = "application/json"
+    headers = [
+        f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
+        f"Content-Type: {content_type}",
+        f"Content-Length: {len(payload)}",
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    ]
+    if retry_after_s is not None:
+        headers.append(f"Retry-After: {max(1, round(retry_after_s))}")
+    if trace_id is not None:
+        headers.append(f"{TRACE_HEADER}: {trace_id}")
+    return ("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + payload
+
+
+class TestRenderResponseBytes:
+    @pytest.mark.parametrize("status", [200, 404, 429, 503, 999])
+    @pytest.mark.parametrize("keep_alive", [True, False])
+    def test_byte_identical_to_legacy(self, status, keep_alive):
+        body = {"schema_version": 1, "asn": 64512, "nested": {"x": [1, 2]}}
+        for retry in (None, 1.0, 2.6):
+            for trace_id in (None, "abc123"):
+                assert render_response(
+                    status, body, keep_alive=keep_alive,
+                    retry_after_s=retry, trace_id=trace_id,
+                ) == _legacy_render(status, body, keep_alive=keep_alive,
+                                    retry_after_s=retry, trace_id=trace_id)
+
+    def test_prometheus_and_precoded_bodies(self):
+        text = "repro_serving_queries_total 3\n"
+        assert render_response(200, text) == _legacy_render(200, text)
+        body = {"asn": 1, "family": "Mirai"}
+        pre = encode_json_body(body)
+        assert render_response(200, pre) == render_response(200, body)
+
+    def test_refusal_frames_match_fresh_render(self, make_engine):
+        from repro.evaluation.reporting import error_payload
+
+        dispatcher = Dispatcher(make_engine())
+        server = ForecastServer(dispatcher, port=0, max_connections=3,
+                                log=lambda _msg: None)
+        body = error_payload("too_many_connections",
+                             "connection limit 3 reached",
+                             retry_after_s=dispatcher.retry_after_s)
+        assert server._http_refusal == render_response(
+            503, body, keep_alive=False,
+            retry_after_s=dispatcher.retry_after_s)
+        assert server._framed_refusal == encode_frame({
+            "status": 503, "body": body,
+            "retry_after_s": dispatcher.retry_after_s})
+
+
+# ----- response-encode cache ---------------------------------------------
+
+
+class TestEncodeCache:
+    def test_key_eligibility(self):
+        eligible = {"source": "model", "cached": True, "degraded": False,
+                    "asn": 1, "family": "Mirai", "now": None,
+                    "model_version": 3}
+        key = ResponseEncodeCache.key_for("forecast", 200, False, eligible)
+        assert key == ((1, "Mirai", None), 3, False)
+        rejects = [
+            ("healthz", 200, False, eligible),
+            ("forecast", 429, False, eligible),
+            ("forecast", 200, True, eligible),  # traced
+            ("forecast", 200, False, {**eligible, "source": "baseline"}),
+            ("forecast", 200, False, {**eligible, "cached": False}),
+            ("forecast", 200, False, {**eligible, "degraded": True}),
+            ("forecast", 200, False, {**eligible, "error": "boom"}),
+            ("forecast", 200, False, {**eligible, "trace_id": "t"}),
+            ("forecast", 200, False, "not-a-dict"),
+        ]
+        for case in rejects:
+            assert ResponseEncodeCache.key_for(*case) is None, case
+
+    def test_lru_eviction_and_stats(self):
+        cache = ResponseEncodeCache(max_entries=2)
+        cache.put(("a",), b"1")
+        cache.put(("b",), b"2")
+        assert cache.get(("a",)) == b"1"  # refreshes 'a'
+        cache.put(("c",), b"3")  # evicts 'b', the least recent
+        assert cache.get(("b",)) is None
+        assert cache.get(("a",)) == b"1"
+        assert cache.get(("c",)) == b"3"
+        assert cache.stats() == {"entries": 2, "hits": 3, "misses": 1}
+        with pytest.raises(ValueError):
+            ResponseEncodeCache(max_entries=0)
+
+    def test_served_bytes_identical_and_hits_counted(self, make_engine,
+                                                     small_trace):
+        asn, family = target_of(small_trace)
+        body = json.dumps({"asn": asn, "family": family}).encode()
+
+        async def fetch(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                (f"POST /v1/forecast HTTP/1.1\r\n"
+                 f"Content-Length: {len(body)}\r\n"
+                 f"Connection: close\r\n\r\n").encode() + body)
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            return raw
+
+        async def scenario():
+            async with serve(make_engine()) as server:
+                host, port = server.http_address
+                first = await fetch(host, port)   # computes (cached: false)
+                second = await fetch(host, port)  # engine cache hit, encoded
+                third = await fetch(host, port)   # encode-cache hit
+                return server.encode_cache.stats(), (first, second, third)
+
+        stats, (first, second, third) = asyncio.run(scenario())
+        assert second == third  # byte-identical reuse, frame included
+        payload = json.loads(second.partition(b"\r\n\r\n")[2])
+        assert payload["source"] == "model" and payload["cached"] is True
+        assert json.loads(first.partition(b"\r\n\r\n")[2])["cached"] is False
+        assert stats == {"entries": 1, "hits": 1, "misses": 1}

@@ -24,7 +24,7 @@ from repro.serving import (
     ForecastEngine,
     ForecastRequest,
     ModelRegistry,
-    ServingMetrics,
+    Telemetry,
 )
 
 
@@ -106,7 +106,7 @@ class TestDegradation:
         def failing_factory(trace, env, config):
             raise RuntimeError("induced fit failure")
 
-        metrics = ServingMetrics()
+        metrics = Telemetry()
         with ForecastEngine(
             small_trace, small_env, metrics=metrics,
             registry=ModelRegistry(factory=failing_factory, metrics=metrics),
@@ -271,7 +271,7 @@ class TestIndexedFallback:
         nows += rng.sample(starts, 40) + [rng.uniform(0.0, starts[-1])
                                           for _ in range(40)]
 
-        metrics = ServingMetrics()
+        metrics = Telemetry()
         fallback = BaselineFallback(tied_trace, metrics)
         answered = unanswerable = 0
         for i in range(600):
@@ -297,7 +297,7 @@ class TestIndexedFallback:
 
     def test_follows_reassigned_attacks(self, small_trace):
         trace = copy.copy(small_trace)
-        fallback = BaselineFallback(trace, ServingMetrics())
+        fallback = BaselineFallback(trace, Telemetry())
         requests = _pool_requests(trace)
         for request in requests:
             assert fallback.forecast(request).ok
@@ -314,7 +314,7 @@ class TestIndexedFallback:
 
         trace = copy.copy(small_trace)
         trace.attacks = list(small_trace.attacks)  # nothing built yet
-        metrics = ServingMetrics()
+        metrics = Telemetry()
         fallback = BaselineFallback(trace, metrics)
         requests = _sweep(trace, _pool_requests(trace), 64)
         expected = [_reference_fallback(trace, r) for r in requests]
@@ -339,7 +339,7 @@ class TestIndexedFallback:
                 + metrics.counter("serving.unanswerable")) == n_threads * len(requests)
 
     def test_unknown_keys_are_not_cached(self, small_trace):
-        fallback = BaselineFallback(small_trace, ServingMetrics())
+        fallback = BaselineFallback(small_trace, Telemetry())
         for asn in range(10**9, 10**9 + 50):
             fallback.forecast(ForecastRequest(asn=asn, family="NoSuchFamily"))
         assert set(fallback._columns[2]) == {("all",)}
@@ -442,6 +442,44 @@ class TestThreadSafety:
             assert by_key.setdefault(key, hour) == hour
         assert (engine.metrics.counter("serving.queries") - queries_before
                 == n_threads * per_thread)
+
+    def test_counters_reconcile_under_threaded_batches(
+            self, small_trace, small_env, predictor, served_requests):
+        """8 threads of overlapping duplicate query_batch calls.
+
+        serving.queries must equal the total requests submitted,
+        serving.batches the number of calls, and serving.coalesced the
+        duplicates folded -- the bookkeeping every caller of the one
+        coalescer relies on (guards double-counting).
+        """
+        engine = ForecastEngine(
+            small_trace, small_env,
+            registry=ModelRegistry(factory=lambda t, e, c: predictor))
+        requests = served_requests[:4]
+        batch = requests + requests + [requests[0]]  # 9 reqs, 4 distinct
+        n_threads, n_calls = 8, 5
+        answers = []
+        lock = threading.Lock()
+
+        def hammer():
+            for _ in range(n_calls):
+                result = engine.query_batch(batch)
+                with lock:
+                    answers.append(result)
+
+        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        engine.close()
+        assert len(answers) == n_threads * n_calls
+        assert all(len(result) == len(batch) for result in answers)
+        counters = engine.metrics.snapshot()["counters"]
+        total_calls = n_threads * n_calls
+        assert counters["serving.batches"] == total_calls
+        assert counters["serving.queries"] == total_calls * len(batch)
+        assert counters["serving.coalesced"] == total_calls * (len(batch) - 4)
 
 
 class TestLifecycle:

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.serving.metrics import DEFAULT_BUCKETS, LatencyHistogram, ServingMetrics
+from repro.telemetry import DEFAULT_BUCKETS, LatencyHistogram, Telemetry
 
 
 class TestLatencyHistogram:
@@ -47,14 +47,14 @@ class TestLatencyHistogram:
 
 class TestServingMetrics:
     def test_counters(self):
-        metrics = ServingMetrics()
+        metrics = Telemetry()
         metrics.incr("queries")
         metrics.incr("queries", 4)
         assert metrics.counter("queries") == 5
         assert metrics.counter("never") == 0
 
     def test_timer_records_elapsed(self):
-        metrics = ServingMetrics()
+        metrics = Telemetry()
         with metrics.timer("work") as timer:
             sum(range(1000))
         assert timer.elapsed >= 0.0
@@ -62,7 +62,7 @@ class TestServingMetrics:
         assert snap["latency"]["work"]["count"] == 1
 
     def test_snapshot_merges_cache_stats(self):
-        metrics = ServingMetrics()
+        metrics = Telemetry()
         metrics.incr("a")
         snap = metrics.snapshot(cache_stats={"predictions": {"hits": 3}})
         assert snap["counters"] == {"a": 1}
@@ -71,7 +71,7 @@ class TestServingMetrics:
         assert "caches" not in metrics.snapshot()
 
     def test_thread_safe_increments(self):
-        metrics = ServingMetrics()
+        metrics = Telemetry()
 
         def worker():
             for _ in range(1000):

@@ -15,6 +15,7 @@ worker mid-hammer and every answer is still a forecast (degraded
 own, and model answers resume -- without restarting the server.
 """
 
+import functools
 import os
 import random
 import signal
@@ -218,6 +219,212 @@ def _owned_request(trace, n_shards, shard_id):
             if shard_index(asn, family, n_shards) == shard_id:
                 return ForecastRequest(asn=asn, family=family)
     raise AssertionError("no request maps to the shard")
+
+
+class KeyedPredictor:
+    """Per-ASN answers (so misrouted replies show); optional poison.
+
+    The poisoned ASN gets an answer whose hour cannot be encoded, so
+    the worker must degrade that one item, not its whole frame.
+    """
+
+    def __init__(self, delay_s: float = 0.0, poison_asn: int | None = None):
+        self.delay_s = delay_s
+        self.poison_asn = poison_asn
+
+    def predict_next_for_network(self, asn, family, now=None):
+        if self.delay_s:
+            time.sleep(self.delay_s)
+        return AttackPrediction(
+            hour="poison" if asn == self.poison_asn else float(asn % 24),
+            day=12.0, duration=600.0, magnitude=float(asn % 100),
+            temporal_hour=3.0, spatial_hour=4.0,
+            temporal_day=11.0, spatial_day=13.0,
+        )
+
+
+def keyed_factory(trace, env, config):
+    return KeyedPredictor()
+
+
+def keyed_slow_factory(trace, env, config):
+    return KeyedPredictor(delay_s=0.4)
+
+
+def _owned_requests(trace, n_shards, shard_id, n):
+    """``n`` distinct-ASN requests routed to ``shard_id``."""
+    requests = []
+    for asn in sorted({a.target_asn for a in trace.attacks}):
+        family = next((f for f in trace.families()
+                       if shard_index(asn, f, n_shards) == shard_id), None)
+        if family is not None:
+            requests.append(ForecastRequest(asn=asn, family=family))
+    assert len(requests) >= n, "too few requests map to the shard"
+    return requests[:n]
+
+
+def _wire_hex(forecast):
+    """The wire-precision forecast numbers, bit for bit."""
+    return {key: float.hex(float(value))
+            for key, value in forecast.to_dict()["forecast"].items()}
+
+
+class TestWireProtocol:
+    """One ``query`` frame, one reply shape, per-item degradation."""
+
+    def test_concurrent_singles_bit_identical(self, small_trace, small_env):
+        """8 threads of hammered singles == the in-process answers."""
+        requests = _owned_requests(small_trace, 2, 0, 3) + \
+            _owned_requests(small_trace, 2, 1, 3)
+        with ForecastEngine(small_trace, small_env,
+                            registry=ModelRegistry(factory=keyed_factory)
+                            ) as reference:
+            expected = {r.work_key: _canonical(reference.query(r))
+                        for r in requests}
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   warm=False, factory=keyed_factory) as engine:
+            collected = []
+            lock = threading.Lock()
+
+            def hammer():
+                futures = [engine.submit(r) for _ in range(5)
+                           for r in requests]
+                with lock:
+                    collected.extend(zip(requests * 5, futures))
+
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len(collected) == 8 * 5 * len(requests)
+            for request, future in collected:
+                forecast = future.result(timeout=30)
+                assert _canonical(forecast) == expected[request.work_key]
+
+    def test_traced_single_keeps_shard_span(self, small_trace, small_env):
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   warm=False, factory=keyed_factory) as engine:
+            forecast = engine.query(_owned_request(small_trace, 2, 0),
+                                    trace_id="wire-trace")
+        assert forecast.trace_id == "wire-trace"
+        assert "shard.query" in [s["name"] for s in forecast.spans]
+
+    def test_scrape_latency_is_max_of_shards(self, small_trace, small_env):
+        """metrics_snapshot issues all worker scrapes before collecting.
+
+        Each worker is busy with a deliberately slow (0.4s) forecast
+        when the scrape lands, so a sequential issue-wait-issue scrape
+        would take ~n_shards * 0.4s; issue-all-then-collect takes
+        ~max-of-shards.  Guards the fan-out against regressing to a
+        sequential loop.
+        """
+        n_shards = 4
+        with ShardedForecastEngine(small_trace, small_env, n_shards=n_shards,
+                                   warm=False, factory=keyed_slow_factory,
+                                   timeout_s=5.0) as engine:
+            futures = [engine.submit(_owned_request(small_trace, n_shards, i))
+                       for i in range(n_shards)]  # one slow query per shard
+            t0 = time.perf_counter()
+            snapshot = engine.metrics_snapshot(include_workers=True,
+                                               worker_timeout_s=5.0)
+            elapsed = time.perf_counter() - t0
+            for future in futures:
+                future.result(timeout=30)
+        workers = [s.get("worker") for s in snapshot["shards"].values()]
+        assert all(w is not None for w in workers)
+        # Sequential would be >= n_shards * 0.4s = 1.6s.
+        assert elapsed < 1.2
+
+    def test_poisoned_item_degrades_alone(self, small_trace, small_env):
+        """One frame, one unencodable answer: only that item degrades."""
+        requests = _owned_requests(small_trace, 2, 0, 4)
+        poison = requests[1].asn
+        factory = functools.partial(_poison_factory, poison)
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   warm=False, factory=factory) as engine:
+            forecasts = engine.query_batch(requests)  # one frame to shard 0
+            counters = engine.metrics.snapshot()["counters"]
+        for request, forecast in zip(requests, forecasts):
+            if request.asn == poison:
+                assert forecast.degraded and forecast.source == "baseline"
+                assert "ValueError" in forecast.error
+            else:
+                assert forecast.source == "model" and not forecast.degraded
+                assert forecast.prediction.hour == float(request.asn % 24)
+        assert counters["shard.worker_errors"] == 1
+
+    def test_wrong_schema_version_degrades(self, small_trace, small_env,
+                                           monkeypatch):
+        import repro.serving.sharded as sharded_module
+
+        request = _owned_request(small_trace, 2, 0)
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   warm=False, factory=keyed_factory) as engine:
+            # The workers are already forked with the real version; only
+            # the parent now expects another one.
+            monkeypatch.setattr(sharded_module, "FORECAST_SCHEMA_VERSION",
+                                sharded_module.FORECAST_SCHEMA_VERSION + 1)
+            forecast = engine.query(request)
+            counters = engine.metrics.snapshot()["counters"]
+        assert forecast.degraded and forecast.source == "baseline"
+        assert "schema" in forecast.error
+        assert counters["shard.wire_errors"] == 1
+
+    def test_cross_shard_batch_with_duplicates_matches_in_process(
+            self, model_store, small_trace, small_env, equivalence_requests,
+            reference_forecasts):
+        distinct = equivalence_requests[:24]
+        requests = distinct + distinct[::3] + distinct[:2]
+        expected = {r.work_key: f for r, f in
+                    zip(equivalence_requests, reference_forecasts)}
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   store_path=model_store) as engine:
+            assert {engine.shard_for(r) for r in distinct} == {0, 1}
+            forecasts = engine.query_batch(requests)
+        first = {}
+        for request, forecast in zip(requests, forecasts):
+            oracle = expected[request.work_key]
+            assert (forecast.source, forecast.degraded) == (
+                oracle.source, oracle.degraded)
+            if oracle.prediction is not None:
+                assert _wire_hex(forecast) == _wire_hex(oracle)
+            # Duplicates share one answer object, as in-process.
+            assert first.setdefault(request.work_key, forecast) is forecast
+
+    def test_sigkill_with_multi_item_frame_pending(self, small_trace,
+                                                   small_env):
+        """Every item of a frame in flight at the crash gets the baseline."""
+        horizon = max(a.start_time for a in small_trace.attacks) + 1.0
+        owned = _owned_request(small_trace, 2, 0)
+        requests = [ForecastRequest(owned.asn, owned.family, now=horizon + i)
+                    for i in range(4)]
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   warm=False, factory=keyed_slow_factory,
+                                   max_workers_per_shard=1,
+                                   restart_backoff_s=0.1) as engine:
+            result = []
+            batch = threading.Thread(
+                target=lambda: result.extend(engine.query_batch(requests)))
+            batch.start()
+            deadline = time.monotonic() + 10.0
+            while (engine.metrics_snapshot(include_workers=False)
+                   ["shards"]["0"]["inflight"] < len(requests)):
+                assert time.monotonic() < deadline, "frame never in flight"
+                time.sleep(0.005)
+            os.kill(engine.shard_pids()[0], signal.SIGKILL)
+            batch.join(timeout=30.0)
+            assert not batch.is_alive()
+            counters = engine.metrics.snapshot()["counters"]
+        assert len(result) == len(requests)
+        for forecast in result:
+            assert forecast.degraded and forecast.source == "baseline"
+            assert "worker died" in forecast.error
+        assert counters["shard.failed_inflight"] == len(requests)
+
+
+def _poison_factory(poison_asn, trace, env, config):
+    return KeyedPredictor(poison_asn=poison_asn)
 
 
 @pytest.mark.slow

@@ -3,7 +3,7 @@
 Four layers, increasingly real:
 
 * pure units -- trace ids, spans, the span-tree renderer, the
-  :class:`Telemetry` registry (canonical names, deterministic empty
+  :class:`Telemetry` registry (namespaced counters, deterministic empty
   snapshots), the Prometheus exposition (a golden text), snapshot
   merging, the sampled access log, and the consolidated
   :mod:`repro.errors` taxonomy;
@@ -57,7 +57,6 @@ from repro.telemetry import (
     to_prometheus,
     valid_trace_id,
 )
-from repro.telemetry.metrics import canonical_metric_name
 
 
 # ----- trace ids and spans ------------------------------------------------
@@ -135,39 +134,11 @@ class TestSpans:
 
 
 class TestTelemetryRegistry:
-    @pytest.mark.parametrize("legacy,canonical", [
-        ("engine.queries", "serving.queries"),
-        ("engine.cache.hits", "serving.cache.hits"),
-        ("registry.refreshes", "serving.registry.refreshes"),
-        ("sharded.restarts", "shard.restarts"),
-        ("server.requests", "server.requests"),
-        ("cluster.failovers", "cluster.failovers"),
-    ])
-    def test_canonical_metric_names(self, legacy, canonical):
-        assert canonical_metric_name(legacy) == canonical
-
-    def test_legacy_and_canonical_spellings_share_a_counter(self):
-        metrics = Telemetry()
-        metrics.incr("engine.queries")
-        metrics.incr("serving.queries", by=2)
-        assert metrics.counter("serving.queries") == 3
-        assert metrics.counter("engine.queries") == 3  # reads canonicalize too
-        snap = metrics.snapshot()
-        assert snap["counters"] == {"serving.queries": 3}
-
     def test_snapshot_is_versioned(self):
         snap = Telemetry().snapshot()
         assert snap["schema_version"] == METRICS_SCHEMA_VERSION
         assert snap["uptime_s"] >= 0.0
         assert snap["counters"] == {} and snap["latency"] == {}
-
-    def test_observe_lands_under_canonical_histogram(self):
-        metrics = Telemetry()
-        metrics.observe("sharded.query", 0.02)
-        metrics.observe("shard.query", 0.04)
-        hist = metrics.snapshot()["latency"]
-        assert list(hist) == ["shard.query"]
-        assert hist["shard.query"]["count"] == 2
 
     def test_zero_observation_snapshot_is_deterministic(self):
         """Two idle replicas must snapshot bit-identically (the PR-7 fix)."""
@@ -181,7 +152,7 @@ class TestTelemetryRegistry:
 
     def test_timer_records_under_canonical_name(self):
         metrics = Telemetry()
-        with metrics.timer("engine.query"):
+        with metrics.timer("serving.query"):
             pass
         assert metrics.snapshot()["latency"]["serving.query"]["count"] == 1
 
@@ -206,12 +177,6 @@ class TestMergeSnapshots:
         assert hist["count"] == 3
         assert hist["sum_s"] == pytest.approx(0.06, abs=1e-6)
         assert hist["max_s"] == pytest.approx(0.03, abs=1e-6)
-
-    def test_legacy_replica_names_fold_into_canonical(self):
-        old = {"counters": {"engine.queries": 2}, "latency": {}}
-        new = {"counters": {"serving.queries": 1}, "latency": {}}
-        merged = merge_snapshots([old, new])
-        assert merged["counters"] == {"serving.queries": 3}
 
     def test_merged_quantiles_are_pessimistic_bucket_bounds(self):
         merged = merge_snapshots([self.make_snapshot(0, [0.003] * 10)])
