@@ -211,6 +211,12 @@ class AttackTrace:
     it.  It is keyed on the identity and length of the ``attacks``
     list: reassigning the list or appending to it rebuilds the index on
     the next lookup (replacing an element in place does not).
+
+    :meth:`fingerprint` is memoized under the same rule, plus the
+    identity of ``metadata``: appending a record, reassigning
+    ``attacks`` or replacing ``metadata`` gives a new fingerprint on the
+    next call, while mutating a record or the metadata in place does
+    not.
     """
 
     attacks: list[AttackRecord]
@@ -272,12 +278,20 @@ class AttackTrace:
         and the first/last attack identities, so that the same trace
         always maps to the same key while a trace extended with newly
         verified attacks maps to a new one.  Used by the serving layer
-        to key fitted models without hashing every record.
+        to key fitted models without hashing every record.  Memoized
+        under the rule in the class docstring.
         """
-        parts: dict = {"metadata": self.metadata.to_dict(), "n": len(self.attacks)}
-        if self.attacks:
-            first, last = self.attacks[0], self.attacks[-1]
+        attacks, metadata = self.attacks, self.metadata
+        memo = getattr(self, "_fingerprint_memo", None)
+        if (memo is not None and memo[0] is attacks
+                and memo[1] == len(attacks) and memo[2] is metadata):
+            return memo[3]
+        parts: dict = {"metadata": metadata.to_dict(), "n": len(attacks)}
+        if attacks:
+            first, last = attacks[0], attacks[-1]
             parts["first"] = [first.ddos_id, first.start_time]
             parts["last"] = [last.ddos_id, last.start_time]
         blob = json.dumps(parts, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        digest = hashlib.sha256(blob).hexdigest()[:16]
+        self._fingerprint_memo = (attacks, len(attacks), metadata, digest)
+        return digest

@@ -13,14 +13,17 @@ operational policy so the two wire formats cannot drift:
   dispatcher clamps it to ``max_timeout_s`` and maps it onto the
   engine's timeout machinery, so a network deadline and an engine
   timeout hit the same counters and the same baseline degradation.
+  An answer that already exists meets any deadline.
 * **Draining** -- once :meth:`Dispatcher.begin_drain` runs (graceful
   shutdown), new forecasts get 503 + ``Retry-After`` while in-flight
   ones finish; ``/healthz`` flips to ``draining`` so load balancers
   eject the replica first.
 
-The engine work itself runs on the engine's own thread pool via
-:meth:`ForecastEngine.submit`; the event loop only awaits wrapped
-futures, so thousands of connections multiplex over ``max_workers``
+Every forecast is one :meth:`ForecastEngine.submit`.  A prediction-cache
+hit comes back already resolved and is answered on the event loop
+without a thread hop; fits and predictions run on the engine's own
+thread pool and the event loop awaits their wrapped futures under the
+deadline, so thousands of connections multiplex over ``max_workers``
 model threads.
 """
 
@@ -321,6 +324,8 @@ class Dispatcher:
             timeout_s = storm if timeout_s is None else min(timeout_s, storm)
         trace_id = ctx.trace_id if ctx is not None else None
         future = self.engine.submit(request, trace_id)
+        if future.done():  # an answer that already exists meets any deadline
+            return self._stamp(future.result(), ctx)
         try:
             forecast = await asyncio.wait_for(
                 asyncio.wrap_future(future), timeout_s

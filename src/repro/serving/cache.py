@@ -96,6 +96,14 @@ class LRUTTLCache:
         self.stats.hits += 1
         return entry
 
+    def _live(self, key: Hashable) -> _Entry | None:
+        """An unexpired entry, recency refreshed; not counted in stats."""
+        entry = self._entries.get(key)
+        if entry is None or self._expired(entry):
+            return None
+        self._entries.move_to_end(key)
+        return entry
+
     def _store(self, key: Hashable, value: Any) -> None:
         self._entries[key] = _Entry(value=value, stored_at=self._clock())
         self._entries.move_to_end(key)
@@ -122,25 +130,34 @@ class LRUTTLCache:
 
         The factory runs outside the cache-wide lock (it may take
         seconds) but under a per-key lock, so concurrent misses on one
-        key fit exactly once.
+        key run it exactly once.  Only the current holder of a key's
+        lock may run the factory; it retires the lock when done.  A
+        waiter that wakes on a retired lock starts over, because the
+        key may have been invalidated since and a new holder may
+        already be running the factory for it.
         """
         with self._lock:
             entry = self._lookup(key)
-            if entry is not None:
-                return entry.value, True
-            key_lock = self._key_locks.setdefault(key, threading.Lock())
-        with key_lock:
-            # Another thread may have populated the key while we waited.
+        while entry is None:
             with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None and not self._expired(entry):
-                    self._entries.move_to_end(key)
-                    return entry.value, True
-            value = factory()
-            with self._lock:
-                self._store(key, value)
-                self._key_locks.pop(key, None)
-            return value, False
+                key_lock = self._key_locks.setdefault(key, threading.Lock())
+            with key_lock:
+                with self._lock:
+                    entry = self._live(key)
+                    if self._key_locks.get(key) is not key_lock:
+                        continue  # retired while we waited: look again
+                    if entry is not None:  # put() by another caller
+                        del self._key_locks[key]
+                        break
+                try:
+                    value = factory()
+                    with self._lock:
+                        self._store(key, value)
+                    return value, False
+                finally:
+                    with self._lock:
+                        del self._key_locks[key]
+        return entry.value, True
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop ``key``; True if it was present."""

@@ -7,14 +7,20 @@ singly or in batches -- without refitting anything on the hot path.
 
 Request flow::
 
-    query --> prediction cache --(miss)--> registry (fitted pipeline)
-                                              |  fit failure / timeout /
-                                              v  thin history
-                                     baseline fallback (§VII-A),
-                                     answer flagged ``degraded``
+    query --> lookup on the caller's thread: registry (no fit), then
+              prediction cache --(hit)--> answer, already resolved
+                 | (miss)
+                 v
+              thread pool: fit if the registry missed (single-flight),
+              predict --(fit failure / timeout / thin history)-->
+              baseline fallback (§VII-A), answer flagged ``degraded``
 
-Batches coalesce duplicate (asn, family, now) work (:func:`coalesce`),
-fan the distinct work across a thread pool, and apply one deadline.
+An answer that already exists never waits for a pool thread, so it
+meets any deadline.  A lone query with no deadline computes its miss on
+the caller's thread instead of blocking on the pool.  Batches coalesce
+duplicate (asn, family, now) work (:func:`coalesce`), look each
+distinct request up the same way, fan the misses across the pool, and
+apply one deadline.
 Every path is counted in :class:`~repro.telemetry.Telemetry`.  The
 query surface lives in a base class the multi-process
 :class:`~repro.serving.sharded.ShardedForecastEngine` shares.
@@ -312,9 +318,7 @@ class _EngineBase:
         [future] = self._start([request], timeout, trace_id)
         forecast = self._await(request, future, timeout,
                                self._deadline(timeout))
-        forecast.latency_s = time.perf_counter() - t0
-        self.metrics.observe("serving.query", forecast.latency_s)
-        self._stamp_trace(forecast, trace_id, start_s)
+        self._account(forecast, trace_id, start_s, t0)
         return forecast
 
     def query_batch(self, requests: Sequence[ForecastRequest], *,
@@ -395,6 +399,13 @@ class _EngineBase:
             self.metrics.incr("serving.errors")
             return self.fallback(request, error=str(exc))
 
+    def _account(self, forecast: Forecast, trace_id: str | None,
+                 start_s: float, t0: float) -> None:
+        """Stamp one answer's latency and trace; observe ``serving.query``."""
+        forecast.latency_s = time.perf_counter() - t0
+        self.metrics.observe("serving.query", forecast.latency_s)
+        self._stamp_trace(forecast, trace_id, start_s)
+
     def _stamp_trace(self, forecast: Forecast, trace_id: str | None,
                      start_s: float) -> None:
         """Mark a traced answer: echo the id, record this hop's span."""
@@ -463,22 +474,30 @@ class ForecastEngine(_EngineBase):
 
     def submit(self, request: ForecastRequest,
                trace_id: str | None = None) -> Future:
-        """Async-completion hook: schedule one request, return its future.
+        """Async-completion hook: start one request, return its future.
 
         The future resolves to a fully accounted :class:`Forecast`
         (latency stamped, ``serving.query`` observed, trace span
         attached when ``trace_id`` is given) and never carries an
-        exception from the answer path itself.  The asyncio front end
-        wraps it with :func:`asyncio.wrap_future`; synchronous callers
-        should prefer :meth:`query`.  Raises
-        :class:`EngineClosedError` once :meth:`close` has begun.
+        exception from the answer path itself.  An answer that already
+        exists (model and prediction both cached) is looked up on the
+        caller's thread and comes back in an already-resolved future;
+        anything that must fit or predict runs on the pool.  The lookup
+        never fits or predicts, so the asyncio front end may call this
+        on its event loop.  Synchronous callers should prefer
+        :meth:`query`.  Raises :class:`EngineClosedError` once
+        :meth:`close` has begun.
         """
         self._ensure_open()
         self.metrics.incr("serving.queries")
-        try:
-            return self._pool.submit(self._timed_answer, request, trace_id)
-        except RuntimeError as exc:  # pool shut down between check and submit
-            raise EngineClosedError("engine is closed") from exc
+        start_s, t0 = time.time(), time.perf_counter()
+        model, forecast = self._lookup(request)
+        if forecast is None:
+            return self._on_pool(self._timed_compute, request, model, trace_id)
+        self._account(forecast, trace_id, start_s, t0)
+        done: Future = Future()
+        done.set_result(forecast)
+        return done
 
     def model_version(self) -> int:
         """Current lineage version serving this engine's config (0 = unfitted).
@@ -501,42 +520,79 @@ class ForecastEngine(_EngineBase):
     def _start(self, requests: Sequence[ForecastRequest],
                timeout: float | None, trace_id: str | None
                ) -> list[Future | Forecast]:
-        """Answer on the pool; a lone request with no deadline runs inline."""
-        if timeout is None and len(requests) == 1:
-            return [self._answer(requests[0])]
-        try:
-            return [self._pool.submit(self._answer, r) for r in requests]
-        except RuntimeError as exc:  # pool shut down between check and submit
-            raise EngineClosedError("engine is closed") from exc
+        """Answers that already exist inline, the rest on the pool.
+
+        Except a lone request with no deadline: nothing can time out,
+        so the caller, which would only block on the pool's answer,
+        computes it (a shard worker's single-item frames come this way).
+        """
+        inline = timeout is None and len(requests) == 1
+        started: list[Future | Forecast] = []
+        for request in requests:
+            model, forecast = self._lookup(request)
+            if forecast is None:
+                forecast = (self._compute(request, model) if inline else
+                            self._on_pool(self._compute, request, model))
+            started.append(forecast)
+        return started
 
     def _patience(self, timeout: float) -> float:
         return timeout
 
-    def _timed_answer(self, request: ForecastRequest,
-                      trace_id: str | None = None) -> Forecast:
-        start_s = time.time()
-        t0 = time.perf_counter()
-        forecast = self._answer(request)
-        forecast.latency_s = time.perf_counter() - t0
-        self.metrics.observe("serving.query", forecast.latency_s)
-        self._stamp_trace(forecast, trace_id, start_s)
+    def _on_pool(self, fn, *args) -> Future:
+        try:
+            return self._pool.submit(fn, *args)
+        except RuntimeError as exc:  # pool shut down between check and submit
+            raise EngineClosedError("engine is closed") from exc
+
+    def _lookup(self, request: ForecastRequest
+                ) -> tuple[RegisteredModel | None, Forecast | None]:
+        """The fitted model, if any, and the answer, if it already exists.
+
+        Never fits and never predicts, so it is safe on any thread.
+        """
+        model = self.registry.get(self.trace, self.env, self.config, fit=False)
+        if model is None:
+            return None, None
+        return model, self._cached_answer(request, model)
+
+    def _cached_answer(self, request: ForecastRequest,
+                       model: RegisteredModel) -> Forecast | None:
+        cached = self.prediction_cache.get(
+            (model.key, model.version, request.work_key))
+        if cached is None:
+            return None
+        self.metrics.incr("serving.prediction_cache_hits")
+        return Forecast(
+            request=request, prediction=cached, source="model",
+            degraded=False, model_version=model.version, cached=True,
+        )
+
+    def _timed_compute(self, request: ForecastRequest,
+                       model: RegisteredModel | None,
+                       trace_id: str | None) -> Forecast:
+        start_s, t0 = time.time(), time.perf_counter()
+        forecast = self._compute(request, model)
+        self._account(forecast, trace_id, start_s, t0)
         return forecast
 
-    def _answer(self, request: ForecastRequest) -> Forecast:
-        try:
-            model = self.registry.get(self.trace, self.env, self.config)
-        except Exception as exc:
-            self.metrics.incr("serving.fit_failures")
-            return self.fallback(request, error=f"model fit failed: {exc}")
+    def _compute(self, request: ForecastRequest,
+                 model: RegisteredModel | None) -> Forecast:
+        """Answer what :meth:`_lookup` could not: fit if needed, predict.
 
-        cache_key = (model.key, model.version, request.work_key)
-        cached = self.prediction_cache.get(cache_key)
-        if cached is not None:
-            self.metrics.incr("serving.prediction_cache_hits")
-            return Forecast(
-                request=request, prediction=cached, source="model",
-                degraded=False, model_version=model.version, cached=True,
-            )
+        ``model`` is the lookup's model; None means the registry missed,
+        so fit (single-flight) and then look in the prediction cache,
+        which the lookup never reached.
+        """
+        if model is None:
+            try:
+                model = self.registry.get(self.trace, self.env, self.config)
+            except Exception as exc:
+                self.metrics.incr("serving.fit_failures")
+                return self.fallback(request, error=f"model fit failed: {exc}")
+            cached = self._cached_answer(request, model)
+            if cached is not None:
+                return cached
         try:
             prediction = model.predictor.predict_next_for_network(
                 request.asn, request.family, now=request.now
@@ -551,7 +607,8 @@ class ForecastEngine(_EngineBase):
                 error=(f"AS{request.asn} below the §VI-B history floor "
                        "for the fitted model"),
             )
-        self.prediction_cache.put(cache_key, prediction)
+        self.prediction_cache.put(
+            (model.key, model.version, request.work_key), prediction)
         self.metrics.incr("serving.model_answers")
         return Forecast(
             request=request, prediction=prediction, source="model",

@@ -63,8 +63,17 @@ def _accepts_warm_from(factory: Callable) -> bool:
                for p in parameters.values())
 
 
+_DEFAULT_CONFIG = SpatiotemporalConfig()
+
+
 def _config_key(config: SpatiotemporalConfig | None) -> str:
-    return repr(config or SpatiotemporalConfig())
+    """The config's repr, computed once per (frozen) config object."""
+    config = config or _DEFAULT_CONFIG
+    key = config.__dict__.get("_registry_key")
+    if key is None:
+        key = repr(config)
+        object.__setattr__(config, "_registry_key", key)
+    return key
 
 
 @dataclass(frozen=True)
@@ -175,7 +184,8 @@ class ModelRegistry:
 
     def get(self, trace: AttackTrace, env: SimulationEnvironment,
             config: SpatiotemporalConfig | None = None, *,
-            warm_from: AttackPredictor | None = None) -> RegisteredModel:
+            warm_from: AttackPredictor | None = None,
+            fit: bool = True) -> RegisteredModel | None:
         """Fetch the fitted model for this trace, fitting on first use.
 
         Concurrent callers missing on the same key share one fit.  A
@@ -183,10 +193,15 @@ class ModelRegistry:
         into a degraded baseline answer).  An explicit ``warm_from``
         predictor seeds the fit in preference to the lineage's own
         previous model (ignored when the factory cannot take it).
+
+        With ``fit=False`` a miss returns None instead of fitting and is
+        not counted as a registry miss.  The engine's lookup uses it:
+        that lookup runs on the caller's thread, possibly an event loop,
+        so it must never fit.
         """
         key = self.key_for(trace, config)
 
-        def fit() -> RegisteredModel:
+        def fit_model() -> RegisteredModel:
             self.metrics.incr("serving.registry.fits")
             # Incremental refresh (ROADMAP): seed the optimizers from the
             # lineage's previous fit -- same config, refreshed trace.
@@ -218,10 +233,15 @@ class ModelRegistry:
             return model
 
         with self.metrics.timer("serving.registry.get"):
-            model, hit = self.cache.get_or_create(key, fit)
-        self.metrics.incr(
-            "serving.registry.hits" if hit else "serving.registry.misses"
-        )
+            if fit:
+                model, hit = self.cache.get_or_create(key, fit_model)
+            else:
+                model = self.cache.get(key)
+                hit = model is not None
+        if hit or fit:
+            self.metrics.incr(
+                "serving.registry.hits" if hit else "serving.registry.misses"
+            )
         return model
 
     def refresh(self, trace: AttackTrace, env: SimulationEnvironment,

@@ -139,6 +139,7 @@ class TestAttackTrace:
         record = make_attack(ddos_id=1, family="A")  # records compare by identity
         built, fresh = self._trace([record]), self._trace([record])
         built.by_family("A")  # builds the index on one of the two
+        built.fingerprint()  # and the fingerprint memo
         assert [f.name for f in dataclasses.fields(AttackTrace)] == [
             "attacks", "snapshots", "metadata"]
         assert set(dataclasses.asdict(built)) == {"attacks", "snapshots", "metadata"}
@@ -164,6 +165,39 @@ class TestAttackTrace:
         assert len(trace.by_family("A")) == 1
         trace.attacks.append(make_attack(ddos_id=2, family="A", start_time=2 * HOUR))
         assert [a.ddos_id for a in trace.by_family("A")] == [1, 2]
+
+    def test_fingerprint_follows_append_reassignment_and_metadata(self):
+        import dataclasses
+
+        trace = self._trace([make_attack(ddos_id=1, start_time=HOUR)])
+        seen = {trace.fingerprint()}
+        trace.attacks.append(make_attack(ddos_id=2, start_time=2 * HOUR))
+        seen.add(trace.fingerprint())
+        trace.attacks = [make_attack(ddos_id=3, start_time=HOUR),
+                         make_attack(ddos_id=4, start_time=2 * HOUR)]  # same length
+        seen.add(trace.fingerprint())
+        trace.metadata = dataclasses.replace(trace.metadata, seed=1)
+        seen.add(trace.fingerprint())
+        assert len(seen) == 4
+        # Each memoized value is the one a fresh trace computes.
+        assert trace.fingerprint() == AttackTrace(
+            attacks=list(trace.attacks), snapshots=[],
+            metadata=trace.metadata).fingerprint()
+
+    def test_unchanged_trace_returns_the_memo_without_hashing(self, monkeypatch):
+        import repro.dataset.records as records
+
+        trace = self._trace([make_attack(ddos_id=1)])
+        first = trace.fingerprint()
+        calls = []
+        real = records.hashlib.sha256
+        monkeypatch.setattr(records.hashlib, "sha256",
+                            lambda blob: calls.append(blob) or real(blob))
+        assert [trace.fingerprint() for _ in range(3)] == [first] * 3
+        assert calls == []
+        trace.attacks.append(make_attack(ddos_id=2))
+        assert trace.fingerprint() != first
+        assert len(calls) == 1
 
     def test_lookups_return_fresh_lists(self):
         attacks = [make_attack(ddos_id=i, family="A", target_asn=7,

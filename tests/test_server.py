@@ -11,13 +11,14 @@ import asyncio
 import json
 import os
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.core.spatiotemporal import AttackPrediction
 from repro.evaluation.reporting import FORECAST_SCHEMA_VERSION, prediction_to_dict
-from repro.serving import ForecastEngine, ModelRegistry
+from repro.serving import ForecastEngine, ForecastRequest, ModelRegistry
 from repro.server import (
     AsyncForecastClient,
     Dispatcher,
@@ -279,6 +280,51 @@ class TestDeadlines:
         assert "timeout" in forecast.error
         assert forecast.ok  # baseline still answered
         assert engine.metrics.counter("serving.timeouts") == 1
+
+
+class TestHitPath:
+    def test_cached_key_answers_while_every_pool_thread_is_blocked(
+            self, make_engine, small_trace):
+        """A prediction-cache hit needs no pool thread and no deadline.
+
+        Both pool threads sit in the predictor waiting on an Event; the
+        cached key still gets its 200 through ``Dispatcher.handle``,
+        even under a deadline far shorter than any pool round trip.
+        """
+        family = small_trace.families()[0]
+        asns = sorted({a.target_asn for a in small_trace.attacks})[:3]
+        cached_asn, blocked_asns = asns[0], asns[1:]
+        entered = threading.Semaphore(0)
+        release = threading.Event()
+
+        class Gated(StubPredictor):
+            def predict_next_for_network(self, asn, family, now=None):
+                if asn != cached_asn:
+                    entered.release()
+                    assert release.wait(timeout=30.0)
+                return super().predict_next_for_network(asn, family, now)
+
+        engine = make_engine(Gated(), max_workers=2)
+        dispatcher = Dispatcher(engine)
+        primed = engine.query(asn=cached_asn, family=family)
+        blocked = [engine.submit(ForecastRequest(asn=asn, family=family))
+                   for asn in blocked_asns]
+        try:
+            for _ in blocked:
+                assert entered.acquire(timeout=30.0)
+            status, body, retry = asyncio.run(dispatcher.handle(
+                "forecast", {"asn": cached_asn, "family": family,
+                             "timeout_s": 0.001}))
+            assert all(not future.done() for future in blocked)
+        finally:
+            release.set()
+        assert (status, retry) == (200, None)
+        assert body["cached"] is True
+        assert body["source"] == "model" and not body["degraded"]
+        assert body["forecast"] == prediction_to_dict(primed.prediction)
+        assert engine.metrics.counter("serving.timeouts") == 0
+        for future in blocked:
+            assert future.result(timeout=30.0).source == "model"
 
 
 class TestBackpressure:

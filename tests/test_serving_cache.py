@@ -2,9 +2,11 @@
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+import repro.serving.cache as cache_module
 from repro.serving.cache import CacheStats, LRUTTLCache
 
 
@@ -17,6 +19,33 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
+
+
+class ReportingLock:
+    """A per-key lock that reports its acquirers and can hold them.
+
+    ``hooks`` maps a thread name to a list of ``(arrived, gate)`` event
+    pairs, consumed one per acquisition by that thread: ``arrived`` is
+    set before the thread blocks on the lock, and once it holds the
+    lock it waits for ``gate`` (when given).
+    """
+
+    def __init__(self, hooks: dict) -> None:
+        self._lock = threading.Lock()
+        self._hooks = hooks
+
+    def __enter__(self):
+        pending = self._hooks.get(threading.current_thread().name)
+        arrived, gate = pending.pop(0) if pending else (None, None)
+        if arrived is not None:
+            arrived.set()
+        self._lock.acquire()
+        if gate is not None:
+            assert gate.wait(timeout=10.0)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
 
 
 class TestLRU:
@@ -149,3 +178,63 @@ class TestSingleFlight:
             t.join()
         # 4 x 0.1s factories in parallel must take far less than 0.4s.
         assert time.perf_counter() - t0 < 0.35
+
+    def test_waiter_on_a_retired_lock_joins_the_new_fit(self, monkeypatch):
+        """Regression: a refresh between a fit and its waiter's wake-up.
+
+        The waiter queues on the first fit's key lock; that fit stores
+        and retires the lock; the key is invalidated and a new caller
+        starts a second fit under a fresh lock.  The waiter must then
+        wait for that fit, not run the factory beside it.
+        """
+        hooks: dict = {}
+        monkeypatch.setattr(cache_module, "threading", SimpleNamespace(
+            Lock=lambda: ReportingLock(hooks), RLock=threading.RLock))
+        cache = LRUTTLCache(max_entries=4)
+        fits, results = [], {}
+
+        def factory(name, started=None, release=None):
+            def fit():
+                fits.append(name)
+                if started is not None:
+                    started.set()
+                    assert release.wait(timeout=10.0)
+                return name
+            return fit
+
+        def start(name, fit):
+            thread = threading.Thread(
+                target=lambda: results.update({name: cache.get_or_create("k", fit)}),
+                name=name)
+            thread.start()
+            return thread
+
+        first_in, first_go = threading.Event(), threading.Event()
+        first = start("first", factory("first", first_in, first_go))
+        assert first_in.wait(timeout=10.0)
+
+        second_in, second_go = threading.Event(), threading.Event()
+        queued, wake = threading.Event(), threading.Event()
+        moved_on = threading.Event()  # the waiter's next step, either way
+        hooks["waiter"] = [(queued, wake), (moved_on, None)]
+        waiter = start("waiter", factory("waiter", moved_on, second_go))
+        assert queued.wait(timeout=10.0)  # it holds the first fit's lock
+
+        first_go.set()
+        first.join(timeout=10.0)
+        assert not first.is_alive()
+        assert cache.invalidate("k")  # e.g. ModelRegistry.refresh
+
+        second = start("second", factory("second", second_in, second_go))
+        assert second_in.wait(timeout=10.0)
+
+        wake.set()  # the waiter now holds a retired lock
+        assert moved_on.wait(timeout=10.0)
+        second_go.set()
+        second.join(timeout=10.0)
+        waiter.join(timeout=10.0)
+        assert not second.is_alive() and not waiter.is_alive()
+        assert fits == ["first", "second"]  # one fit per miss
+        assert results == {"first": ("first", False),
+                           "second": ("second", False),
+                           "waiter": ("second", True)}

@@ -74,6 +74,85 @@ class TestModelPath:
             engine.query()
 
 
+class TestHitPath:
+    """Answers that already exist come back on the caller's thread."""
+
+    @staticmethod
+    def _engine(small_trace, small_env, factory):
+        return ForecastEngine(small_trace, small_env,
+                              registry=ModelRegistry(factory=factory))
+
+    def test_hit_is_already_resolved(self, engine, served_requests):
+        request = served_requests[2]
+        engine.query(request)  # primes the prediction cache
+        future = engine.submit(request)
+        assert future.done()
+        forecast = future.result()
+        assert forecast.cached and forecast.source == "model"
+        assert forecast.latency_s > 0.0
+
+    def test_traced_hits_carry_a_query_span(self, engine, served_requests):
+        request = served_requests[3]
+        engine.query(request)
+        answers = [engine.submit(request, trace_id="hit-submit").result(),
+                   engine.query(request, trace_id="hit-query"),
+                   engine.query_batch([request], trace_id="hit-batch")[0]]
+        for forecast, trace_id in zip(answers, ("hit-submit", "hit-query",
+                                                "hit-batch")):
+            assert forecast.cached
+            assert forecast.trace_id == trace_id
+            [span] = forecast.spans
+            assert span["name"] == "serving.query"
+            assert span["detail"] == {"source": "model", "cached": True}
+
+    @pytest.mark.parametrize("call", ["submit", "query", "query_batch"])
+    def test_unfitted_registry_fits_on_a_pool_thread(
+            self, small_trace, small_env, predictor, served_requests, call):
+        """Only a lone query with no deadline may compute on its caller."""
+        fitted_on = []
+
+        def factory(trace, env, config):
+            fitted_on.append(threading.current_thread().name)
+            return predictor
+
+        with self._engine(small_trace, small_env, factory) as engine:
+            if call == "submit":
+                forecasts = [engine.submit(served_requests[0]).result(30.0)]
+            elif call == "query":
+                forecasts = [engine.query(served_requests[0], timeout_s=30.0)]
+            else:
+                forecasts = engine.query_batch(served_requests[:2])
+        assert all(f.source == "model" and not f.cached for f in forecasts)
+        assert len(fitted_on) == 1
+        assert fitted_on[0].startswith("forecast")
+        assert fitted_on[0] != threading.current_thread().name
+
+    def test_counters_count_each_query_once(self, small_trace, small_env,
+                                            predictor, served_requests):
+        """Cold registry, prediction misses and hits, through every call."""
+        requests = served_requests[:4]
+        with self._engine(small_trace, small_env,
+                          lambda t, e, c: predictor) as engine:
+            for _ in range(2):  # first round misses, second round hits
+                engine.submit(requests[0]).result(timeout=30.0)
+                engine.submit(requests[1]).result(timeout=30.0)
+                engine.query(requests[2])
+                engine.query_batch([requests[3]])
+            engine.query_batch(requests)
+        n_queries = 2 * 4 + 4
+        counters = engine.metrics.snapshot()["counters"]
+        registry = engine.registry.metrics
+        stats = engine.prediction_cache.stats
+        assert counters["serving.queries"] == n_queries
+        assert counters["serving.model_answers"] == 4
+        assert counters["serving.prediction_cache_hits"] == n_queries - 4
+        assert stats.hits == n_queries - 4
+        assert stats.hits + stats.misses == n_queries
+        assert registry.counter("serving.registry.fits") == 1
+        assert registry.counter("serving.registry.misses") == 1
+        assert registry.counter("serving.registry.hits") == n_queries - 1
+
+
 class TestBatching:
     def test_batched_equals_sequential(self, engine, served_requests):
         batch = engine.query_batch(served_requests)
