@@ -103,14 +103,8 @@ class AttackPredictor:
         cfg = self.spatiotemporal.config
         if now is None:
             now = self.fx.trace.n_hours * 3600.0
-        context = AttackContext(
-            family=family,
-            target_asn=asn,
-            timestamp=now,
-            same_as=index.recent_same_as(asn, now, cfg.n_same_as),
-            recent=index.recent_global(now, cfg.n_recent),
-            family_recent=index.recent_family(family, now, cfg.n_recent),
-        )
+        context = AttackContext.observe(index, family, asn, now,
+                                        cfg.n_same_as, cfg.n_recent)
         if len(context.same_as) < cfg.min_same_as:
             return None
         return self.spatiotemporal.predict_context(context)

@@ -9,6 +9,18 @@ attacks anywhere.  The constructed tree's input nodes mirror the
 paper's: ``N_tmp`` (temporal hourly prediction), ``N_spa`` (spatial
 hourly prediction) and ``N_int`` (temporal interval prediction), plus
 the average bot magnitude that the unpruned tree was observed to use.
+
+The tree's inputs split into blocks that each depend on one history
+prefix only: the family block (§IV ARIMA hour and interval, the implied
+hour, the family rate) on the family's last ``n_recent`` attacks, the
+network block (§V NAR hour, interval and duration, the same-AS
+summaries) on the AS's last ``n_same_as`` observations, and the
+recent-magnitude mean on the last ``n_recent`` attacks anywhere.  A
+fitted :class:`SpatiotemporalModel` memoizes each block under the
+prefix's group and end position in its :class:`HistoryIndex`, so a
+query computes the models once per prefix and afterwards only assembles
+the 19 inputs and evaluates the trees.  Empty prefixes are never
+memoized: their fallbacks read the query's own timestamp.
 """
 
 from __future__ import annotations
@@ -66,7 +78,10 @@ class HistoryIndex:
     """Fast "last n events before t" lookups over a trace.
 
     Binary-searches precomputed chronological lists per target AS, per
-    family, and globally.
+    family, and globally.  Each lookup also returns ``end``, the
+    bisection position the slice stops at: together with the group and
+    the slice length it names the prefix exactly, which is what the
+    model's feature-block memo keys on.
     """
 
     def __init__(self, fx: FeatureExtractor) -> None:
@@ -88,27 +103,35 @@ class HistoryIndex:
             self._by_asn[asn] = observations
             self._asn_times[asn] = [o.start_time for o in observations]
 
-    def recent_global(self, before: float, n: int) -> list[AttackRecord]:
-        """Last ``n`` attacks anywhere strictly before ``before``."""
+    def recent_global(self, before: float, n: int) -> tuple[list[AttackRecord], int]:
+        """Last ``n`` attacks anywhere strictly before ``before``, and ``end``."""
         i = bisect.bisect_left(self._global_times, before)
-        return self._global[max(0, i - n) : i]
+        return self._global[max(0, i - n) : i], i
 
-    def recent_family(self, family: str, before: float, n: int) -> list[AttackRecord]:
-        """Last ``n`` attacks of ``family`` strictly before ``before``."""
+    def recent_family(self, family: str, before: float,
+                      n: int) -> tuple[list[AttackRecord], int]:
+        """Last ``n`` attacks of ``family`` strictly before ``before``, and ``end``."""
         times = self._family_times.get(family, [])
         i = bisect.bisect_left(times, before)
-        return self._by_family.get(family, [])[max(0, i - n) : i]
+        return self._by_family.get(family, [])[max(0, i - n) : i], i
 
-    def recent_same_as(self, asn: int, before: float, n: int) -> list[TargetObservation]:
-        """Last ``n`` observations in network ``asn`` before ``before``."""
+    def recent_same_as(self, asn: int, before: float,
+                       n: int) -> tuple[list[TargetObservation], int]:
+        """Last ``n`` observations in network ``asn`` before ``before``, and ``end``."""
         times = self._asn_times.get(asn, [])
         i = bisect.bisect_left(times, before)
-        return self._by_asn.get(asn, [])[max(0, i - n) : i]
+        return self._by_asn.get(asn, [])[max(0, i - n) : i], i
 
 
 @dataclass
 class AttackContext:
-    """Everything a target knows just before an attack (§VI-B)."""
+    """Everything a target knows just before an attack (§VI-B).
+
+    A context built by :meth:`observe` also carries the index it was
+    read from and the end position of each history slice in it; the
+    model memoizes its feature blocks under those.  A hand-built
+    context without them is computed from scratch.
+    """
 
     family: str
     target_asn: int
@@ -116,19 +139,29 @@ class AttackContext:
     same_as: list[TargetObservation]
     recent: list[AttackRecord]
     family_recent: list[AttackRecord]
+    history: HistoryIndex | None = None
+    same_as_end: int | None = None
+    recent_end: int | None = None
+    family_end: int | None = None
+
+    @classmethod
+    def observe(cls, index: HistoryIndex, family: str, asn: int, now: float,
+                n_same_as: int, n_recent: int) -> "AttackContext":
+        """Build the context network ``asn`` observes strictly before ``now``."""
+        same_as, same_as_end = index.recent_same_as(asn, now, n_same_as)
+        recent, recent_end = index.recent_global(now, n_recent)
+        family_recent, family_end = index.recent_family(family, now, n_recent)
+        return cls(family=family, target_asn=asn, timestamp=now,
+                   same_as=same_as, recent=recent, family_recent=family_recent,
+                   history=index, same_as_end=same_as_end,
+                   recent_end=recent_end, family_end=family_end)
 
     @classmethod
     def for_attack(cls, attack: AttackRecord, index: HistoryIndex,
                    n_same_as: int, n_recent: int) -> "AttackContext":
         """Build the context observable strictly before ``attack``."""
-        return cls(
-            family=attack.family,
-            target_asn=attack.target_asn,
-            timestamp=attack.start_time,
-            same_as=index.recent_same_as(attack.target_asn, attack.start_time, n_same_as),
-            recent=index.recent_global(attack.start_time, n_recent),
-            family_recent=index.recent_family(attack.family, attack.start_time, n_recent),
-        )
+        return cls.observe(index, attack.family, attack.target_asn,
+                           attack.start_time, n_same_as, n_recent)
 
 
 @dataclass
@@ -199,10 +232,47 @@ class SpatiotemporalModel:
         self._max_day_gap = 14.0
         self._duration_log_std = 0.0
         self._magnitude_log_std = 0.0
+        # Feature blocks by history prefix, bound to the index they were
+        # read from (see _memo_for).  At most one entry per group and
+        # end position; fit() starts it afresh.
+        self._memo: tuple[HistoryIndex | None, dict] = (None, {})
 
     # ----- feature construction -----
 
-    def _features(self, context: AttackContext) -> np.ndarray:
+    def _memo_for(self, index: HistoryIndex | None) -> dict | None:
+        """The block memo filled from ``index``; a new index resets it.
+
+        ``self._memo`` is one ``(index, dict)`` pair swapped in a single
+        assignment, so a thread always writes into the dict of the index
+        it read its positions from.
+        """
+        if index is None:
+            return None
+        bound, memo = self._memo
+        if bound is not index:
+            memo = {}
+            self._memo = (index, memo)
+        return memo
+
+    @staticmethod
+    def _block(memo: dict | None, group: object, records: list, end: int | None,
+               compute, context: AttackContext) -> tuple:
+        """``compute(context)``, memoized under the prefix it reads.
+
+        ``records[-len:]`` ending at ``end`` is the whole input of
+        ``compute``, so ``(group, len(records), end)`` names its value.
+        An empty prefix is never stored: its fallback reads the clock.
+        """
+        if memo is None or end is None or not records:
+            return compute(context)
+        key = (group, len(records), end)
+        block = memo.get(key)
+        if block is None:
+            block = memo[key] = compute(context)
+        return block
+
+    def _family_block(self, context: AttackContext) -> tuple:
+        """§IV inputs from the family's recent attacks."""
         family_model = self.temporal.get(context.family)
 
         family_hours = np.array([a.start_hour for a in context.family_recent], dtype=float)
@@ -218,30 +288,36 @@ class SpatiotemporalModel:
             n_int = float(family_gaps.mean()) if family_gaps.size else 3600.0
             family_rate = n_int
 
+        last_family_time = float(family_starts[-1]) if family_starts.size else context.timestamp
+        implied_tmp_hour = ((last_family_time + n_int) % DAY) / 3600.0
+        return (
+            n_tmp_hour,
+            np.log1p(n_int),
+            implied_tmp_hour,
+            np.log1p(family_rate),
+            np.sin(2.0 * np.pi * n_tmp_hour / 24.0),
+            np.cos(2.0 * np.pi * n_tmp_hour / 24.0),
+        )
+
+    def _network_block(self, context: AttackContext) -> tuple:
+        """§V inputs from the target network's recent observations."""
         same_hours = np.array([float(o.hour) for o in context.same_as])
         same_durations = np.array([o.duration for o in context.same_as])
         same_gaps = np.array(
             [o.inter_launch for o in context.same_as if o.inter_launch], dtype=float
         )
         same_magnitudes = np.array([o.magnitude for o in context.same_as], dtype=float)
-        recent_magnitudes = np.array([a.magnitude for a in context.recent], dtype=float)
 
         n_spa_hour = self.spatial.predict_next_hour(context.target_asn, same_hours)
         spa_interval = self.spatial.predict_next_interval(context.target_asn, same_gaps)
         spa_duration = self.spatial.predict_next_duration(context.target_asn, same_durations)
 
-        last_family_time = float(family_starts[-1]) if family_starts.size else context.timestamp
-        implied_tmp_hour = ((last_family_time + n_int) % DAY) / 3600.0
         last_same_time = (
             context.same_as[-1].start_time if context.same_as else context.timestamp
         )
         implied_spa_hour = ((last_same_time + spa_interval) % DAY) / 3600.0
-
-        return np.array([
-            n_tmp_hour,
+        return (
             n_spa_hour,
-            np.log1p(n_int),
-            implied_tmp_hour,
             np.log1p(spa_interval),
             implied_spa_hour,
             spa_interval / DAY,
@@ -250,13 +326,55 @@ class SpatiotemporalModel:
             float(np.log1p(same_durations).mean()) if same_durations.size else 7.0,
             np.log1p(spa_duration),
             float(np.log1p(same_magnitudes).mean()) if same_magnitudes.size else 0.0,
-            float(np.log1p(recent_magnitudes).mean()) if recent_magnitudes.size else 0.0,
-            np.log1p(family_rate),
             float(np.log1p(same_gaps[-1])) if same_gaps.size else np.log1p(spa_interval),
-            np.sin(2.0 * np.pi * n_tmp_hour / 24.0),
-            np.cos(2.0 * np.pi * n_tmp_hour / 24.0),
             np.sin(2.0 * np.pi * n_spa_hour / 24.0),
             np.cos(2.0 * np.pi * n_spa_hour / 24.0),
+        )
+
+    @staticmethod
+    def _recent_block(context: AttackContext) -> tuple:
+        """Average bot magnitude over the recent attacks anywhere."""
+        recent_magnitudes = np.array([a.magnitude for a in context.recent], dtype=float)
+        return (
+            float(np.log1p(recent_magnitudes).mean()) if recent_magnitudes.size else 0.0,
+        )
+
+    def _features(self, context: AttackContext) -> np.ndarray:
+        memo = self._memo_for(context.history)
+        (n_tmp_hour, n_int_log, implied_tmp_hour, family_rate_log,
+         n_tmp_hour_sin, n_tmp_hour_cos) = self._block(
+            memo, ("family", context.family), context.family_recent,
+            context.family_end, self._family_block, context)
+        (n_spa_hour, spa_interval_log, implied_spa_hour, spa_day_gap,
+         last_same_hour, mean_same_hour, mean_same_dur_log, spa_duration_log,
+         mean_same_mag_log, last_same_gap_log,
+         n_spa_hour_sin, n_spa_hour_cos) = self._block(
+            memo, ("asn", context.target_asn), context.same_as,
+            context.same_as_end, self._network_block, context)
+        (mean_recent_mag_log,) = self._block(
+            memo, "recent", context.recent, context.recent_end,
+            self._recent_block, context)
+
+        return np.array([
+            n_tmp_hour,
+            n_spa_hour,
+            n_int_log,
+            implied_tmp_hour,
+            spa_interval_log,
+            implied_spa_hour,
+            spa_day_gap,
+            last_same_hour,
+            mean_same_hour,
+            mean_same_dur_log,
+            spa_duration_log,
+            mean_same_mag_log,
+            mean_recent_mag_log,
+            family_rate_log,
+            last_same_gap_log,
+            n_tmp_hour_sin,
+            n_tmp_hour_cos,
+            n_spa_hour_sin,
+            n_spa_hour_cos,
         ])
 
     # ----- fitting -----
@@ -271,6 +389,7 @@ class SpatiotemporalModel:
         """
         cfg = self.config
         index = index or HistoryIndex(fx)
+        self._memo = (None, {})
         rows: list[np.ndarray] = []
         hour_angles: list[float] = []
         day_y: list[float] = []
