@@ -239,8 +239,8 @@ class FaultPlan:
 class FaultInjector:
     """Counts visits per hook site and fires the plan's faults.
 
-    Thread-safe: hook sites live in lifecycle threads, pump threads,
-    and the event loop.  The fired log records every fault actually
+    Thread-safe: hook sites live in lifecycle threads, blocking
+    callers' threads, and the event loop.  The fired log records every fault actually
     delivered (site, visit, kind, and the call-site context), so a
     scenario report can show the schedule *and* what it hit.
     """

@@ -24,7 +24,9 @@ hit comes back already resolved and is answered on the event loop
 without a thread hop; fits and predictions run on the engine's own
 thread pool and the event loop awaits their wrapped futures under the
 deadline, so thousands of connections multiplex over ``max_workers``
-model threads.
+model threads.  A sharded engine hands back this loop's own future
+instead: the loop reads the shard's reply off the worker pipe and
+resolves it in place, and ``wrap_future`` passes it through unchanged.
 """
 
 from __future__ import annotations

@@ -14,9 +14,14 @@ so each worker owns its slice of targets with its own GIL, its own
 Topology::
 
     Dispatcher --> ShardedForecastEngine --+--> worker 0: ModelRegistry + ForecastEngine
-                   (parent: routing,       +--> worker 1: ModelRegistry + ForecastEngine
-                    restart, §VII-A        +--> ...
-                    degradation)           (multiprocessing pipes)
+    (event loop)   (parent: routing,       +--> worker 1: ModelRegistry + ForecastEngine
+        ^           restart, §VII-A        +--> ...
+        |           degradation)           (multiprocessing pipes)
+        +---- replies: loop.add_reader on each pipe, resolved on the loop
+
+    One lifecycle thread per shard boots its worker, waits on the
+    worker's ``process.sentinel`` and restarts it; no parent thread
+    exists only to read a pipe.
 
 Operational contracts (all mirrored from the single-process tier so
 the two paths cannot drift):
@@ -28,6 +33,16 @@ the two paths cannot drift):
   entries are the existing ``FORECAST_SCHEMA_VERSION`` dicts
   (``Forecast.to_dict()``), rebuilt via ``Forecast.from_dict``; an
   entry in a different schema is degraded, not trusted.
+* **Reply path** -- the caller that waits reads.  ``submit`` on a
+  running event loop registers the shard's pipe with that loop
+  (``loop.add_reader``) and returns a loop future the reader callback
+  resolves on the loop thread; any other caller gets a future whose
+  ``result`` reads the pipe itself, unless another thread's running
+  loop is the pipe's reader.  Both go through one read site and one
+  frame dispatch; a per-pipe read lock is held only while taking a
+  ready frame, never while waiting.  Any read-side EOF unregisters the
+  reader before the parent's end is closed, so no selector keeps an fd
+  number that gets reused.
 * **Warm boot** -- each worker restores its registry from the PR 2
   :class:`~repro.persistence.store.ModelStore` when ``store_path`` is
   given, so N shards do not pay N cold fits.
@@ -46,15 +61,19 @@ the two paths cannot drift):
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import itertools
 import multiprocessing
 import os
+import select
 import signal
 import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_ready
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -79,6 +98,14 @@ __all__ = ["ShardedForecastEngine", "ShardBoot", "shard_index"]
 
 #: Serializes pipe creation and fork across every sharded engine.
 _SPAWN_LOCK = threading.Lock()
+
+#: How long a blocking waiter waits before it checks again who reads its
+#: pipe (another thread may have taken its reply or stopped its loop).
+_WAIT_SLICE_S = 0.01
+
+#: Unanswered items on a shard past which a sender first reads ready
+#: replies: a worker blocked writing to a full pipe stops reading too.
+_DRAIN_ABOVE = 32
 
 
 def shard_index(asn: int, family: str, n_shards: int) -> int:
@@ -242,24 +269,75 @@ def _shard_main(conn, boot: ShardBoot, parent_end=None) -> None:
         pass
 
 
+class _Pipe:
+    """The parent's end of one worker pipe, and who reads it.
+
+    ``loop`` is the event loop whose reader watches ``fd`` (None when no
+    loop does); it changes under the shard's ``lock``.  ``read_lock`` is
+    held only around taking one ready frame off the pipe, never while
+    waiting for one; ``send_lock`` keeps frames whole on the way out
+    without stopping readers while a write blocks.
+    """
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self.fd = conn.fileno()
+        self.loop: asyncio.AbstractEventLoop | None = None
+        self.read_lock = threading.Lock()
+        self.send_lock = threading.Lock()
+        self._poller = select.poll()
+        self._poller.register(self.fd, select.POLLIN)
+
+    def ready(self) -> bool:
+        """Whether a frame (or EOF) is waiting; call under ``read_lock``."""
+        return bool(self._poller.poll(0))
+
+
 @dataclass
 class _Shard:
     """Parent-side bookkeeping for one worker process."""
 
     id: int
     process: multiprocessing.process.BaseProcess | None = None
-    conn: object = None
+    pipe: _Pipe | None = None
     alive: bool = False
     pid: int | None = None
     model_version: int = 0
     restarts: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
-    # item id -> (Future, wire request); the wire request is None for a
+    # item id -> (future, wire request); the wire request is None for a
     # metrics scrape, which has no baseline to degrade to.  Ids come
     # from ``ids`` under ``lock``.
     pending: dict = field(default_factory=dict)
     ids: Iterator[int] = field(default_factory=itertools.count)
     booted: threading.Event = field(default_factory=threading.Event)
+
+
+class _PipeFuture(Future):
+    """A blocking caller's future: ``result`` reads the pipe while it waits.
+
+    The waiter reads unless another thread's running loop is the pipe's
+    registered reader; then that loop resolves this future.
+    """
+
+    def __init__(self, engine: "ShardedForecastEngine", shard: _Shard,
+                 pipe: _Pipe) -> None:
+        super().__init__()
+        self._engine = engine
+        self._shard = shard
+        self._pipe = pipe
+
+    def result(self, timeout: float | None = None):
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self.done():
+            wait_s = _WAIT_SLICE_S
+            if deadline is not None:
+                wait_s = min(wait_s, deadline - time.monotonic())
+                if wait_s <= 0:
+                    break
+            if not self._engine._read_blocking(self._shard, self._pipe, wait_s):
+                wait_futures([self], timeout=wait_s)
+        return super().result(timeout=0)
 
 
 class ShardedForecastEngine(_EngineBase):
@@ -349,6 +427,8 @@ class ShardedForecastEngine(_EngineBase):
         answers up to ``drain_timeout_s``; anything still pending at the
         deadline resolves to a degraded baseline answer -- callers never
         hang on a dead worker.  Workers are then stopped and joined.
+        Replies are read by the registered loop when one runs on another
+        thread, and by this call otherwise.
         """
         with self._state_lock:
             if self._closed:
@@ -363,17 +443,21 @@ class ShardedForecastEngine(_EngineBase):
                 with shard.lock:
                     if not shard.pending:
                         break
-                time.sleep(0.005)
+                    pipe = shard.pipe
+                if pipe is None or not self._read_blocking(shard, pipe, 0.005):
+                    time.sleep(0.005)
         self._stopping = True
         for shard in self._shards:
             with shard.lock:
                 self._fail_pending_locked(
                     shard, "engine closed before the shard answered")
-                if shard.conn is not None:
-                    try:
-                        shard.conn.send(("stop",))
-                    except (BrokenPipeError, OSError):
-                        pass
+                pipe = shard.pipe
+            if pipe is not None:
+                try:
+                    with pipe.send_lock:
+                        pipe.conn.send(("stop",))
+                except (BrokenPipeError, OSError):
+                    pass
         for thread in self._threads:
             thread.join(timeout=self.drain_timeout_s)
         for shard in self._shards:
@@ -396,10 +480,13 @@ class ShardedForecastEngine(_EngineBase):
         return shard_index(request.asn, request.family, self.n_shards)
 
     def submit(self, request: ForecastRequest, trace_id: str | None = None, *,
-               timeout_s: object = _UNSET) -> Future:
+               timeout_s: object = _UNSET) -> Future | asyncio.Future:
         """Schedule one request on its shard; resolves to a Forecast.
 
-        Writes a one-item ``query`` frame from the caller's thread.  The
+        Writes a one-item ``query`` frame from the caller's thread.
+        Called on a running event loop, it returns that loop's future
+        and the loop reads the reply itself (``loop.add_reader`` on the
+        shard's pipe); elsewhere the future's ``result`` reads it.  The
         future never carries an exception from the answer path: a dead
         shard, a worker error, or a crash mid-request all resolve to the
         §VII-A baseline (``degraded: true``).  Raises
@@ -410,7 +497,8 @@ class ShardedForecastEngine(_EngineBase):
         self._ensure_open()
         self.metrics.incr("serving.queries")
         [future] = self._send(self._shards[self.shard_for(request)], [request],
-                              self._resolve_timeout(timeout_s), trace_id)
+                              self._resolve_timeout(timeout_s), trace_id,
+                              _running_loop())
         return future
 
     def model_version(self) -> int:
@@ -427,7 +515,8 @@ class ShardedForecastEngine(_EngineBase):
 
         Worker snapshots ride the same pipes as queries; a shard too
         busy (or dead) to answer within ``worker_timeout_s`` reports
-        only its parent-side status.
+        only its parent-side status.  Safe on the event loop thread: a
+        blocked loop cannot run its reader, so this call reads instead.
         """
         snapshot = self.metrics.snapshot()
         shards: dict[str, dict] = {}
@@ -492,24 +581,41 @@ class ShardedForecastEngine(_EngineBase):
         """No parent hop: the worker's engine stamped the answer's spans."""
 
     def _send(self, shard: _Shard, requests: list[ForecastRequest],
-              timeout: float | None, trace_id: str | None) -> list[Future]:
-        """Write one ``query`` frame; resolve to baseline if the shard is down."""
-        futures = [Future() for _ in requests]
+              timeout: float | None, trace_id: str | None,
+              loop: asyncio.AbstractEventLoop | None = None) -> list:
+        """Write one ``query`` frame; resolve to baseline if the shard is down.
+
+        With a ``loop``, the futures are that loop's and its reader is
+        registered on the pipe; without one they read the pipe
+        themselves (:class:`_PipeFuture`).  A backlog of unanswered
+        items is read first, so a worker never blocks on a full pipe
+        while this caller writes to it.
+        """
+        pipe = shard.pipe
+        if pipe is not None and len(shard.pending) > _DRAIN_ABOVE \
+                and not self._loop_reads(pipe):
+            self._on_readable(shard, pipe)
         with shard.lock:
-            if shard.alive and shard.conn is not None:
+            pipe = shard.pipe if shard.alive else None
+            if pipe is not None:
+                if loop is not None and pipe.loop is not loop:
+                    self._attach_locked(shard, pipe, loop)
+                futures = [loop.create_future() if loop is not None
+                           else _PipeFuture(self, shard, pipe)
+                           for _ in requests]
                 items = []
                 for future, request in zip(futures, requests):
                     item_id = next(shard.ids)
                     wire_request = _request_to_wire(request)
                     shard.pending[item_id] = (future, wire_request)
                     items.append((item_id, wire_request, timeout, trace_id))
-                try:
-                    chaos_point(f"shard.send[{shard.id}]", op="query")
-                    shard.conn.send(("query", items))
-                    return futures
-                except (BrokenPipeError, OSError):
-                    for item in items:
-                        shard.pending.pop(item[0], None)
+        if pipe is not None:
+            if self._write(shard, pipe, "query", ("query", items),
+                           [item[0] for item in items]):
+                return futures
+        else:
+            futures = [loop.create_future() if loop is not None else Future()
+                       for _ in requests]
         self.metrics.incr("shard.down_shard_answers")
         error = (f"shard {shard.id} is down (restarting); "
                  "serving the naive baseline")
@@ -519,19 +625,31 @@ class ShardedForecastEngine(_EngineBase):
 
     def _scrape(self, shard: _Shard) -> Future | None:
         """Ask one worker for its metrics snapshot; None when it is down."""
-        future: Future = Future()
         with shard.lock:
-            if not shard.alive or shard.conn is None:
+            pipe = shard.pipe
+            if not shard.alive or pipe is None:
                 return None
+            future = _PipeFuture(self, shard, pipe)
             req_id = next(shard.ids)
             shard.pending[req_id] = (future, None)
-            try:
-                chaos_point(f"shard.send[{shard.id}]", op="metrics")
-                shard.conn.send(("metrics", req_id))
-            except (BrokenPipeError, OSError):
-                shard.pending.pop(req_id, None)
-                return None
+        if not self._write(shard, pipe, "metrics", ("metrics", req_id),
+                           [req_id]):
+            return None
         return future
+
+    def _write(self, shard: _Shard, pipe: _Pipe, op: str, frame: tuple,
+               item_ids: Sequence[int]) -> bool:
+        """Send one frame whole; on failure forget its pending items."""
+        try:
+            with pipe.send_lock:
+                chaos_point(f"shard.send[{shard.id}]", op=op)
+                pipe.conn.send(frame)
+            return True
+        except (BrokenPipeError, OSError):
+            with shard.lock:
+                for item_id in item_ids:
+                    shard.pending.pop(item_id, None)
+            return False
 
     def _fail_pending_locked(self, shard: _Shard, reason: str) -> None:
         """Resolve every pending future to a baseline answer (lock held)."""
@@ -545,20 +663,148 @@ class ShardedForecastEngine(_EngineBase):
             _resolve(future, self.fallback(_request_from_wire(wire_request),
                                            error=error))
 
+    # ----- reading replies: one read site, two kinds of reader -----
+
+    def _attach_locked(self, shard: _Shard, pipe: _Pipe,
+                       loop: asyncio.AbstractEventLoop) -> None:
+        """Make ``loop`` (running on this thread) the pipe's reader.
+
+        A loop running on another thread keeps the pipe: it resolves
+        this loop's futures thread-safely.  A stopped one hands it over.
+        """
+        current = pipe.loop
+        if current is not None and not current.is_closed():
+            if current.is_running():
+                return
+            current.remove_reader(pipe.fd)
+        loop.add_reader(pipe.fd, self._on_readable, shard, pipe)
+        pipe.loop = loop
+
+    def _loop_reads(self, pipe: _Pipe) -> bool:
+        """Whether another thread's running loop reads this pipe."""
+        loop = pipe.loop
+        return (loop is not None and loop.is_running()
+                and loop is not _running_loop())
+
+    def _read_blocking(self, shard: _Shard, pipe: _Pipe,
+                       wait_s: float) -> bool:
+        """A blocking waiter's turn: wait up to ``wait_s``, read what is ready.
+
+        Returns False, having waited for nothing, when this thread must
+        not read: the pipe is gone, or another thread's loop reads it.
+        """
+        if shard.pipe is not pipe or self._loop_reads(pipe):
+            return False
+        try:
+            pipe.conn.poll(wait_s)
+        except (EOFError, OSError):
+            pass  # closed under us: the read below takes the EOF path
+        self._on_readable(shard, pipe)
+        return True
+
+    def _on_readable(self, shard: _Shard, pipe: _Pipe) -> None:
+        """Dispatch every frame ready on ``pipe`` (the loop's reader)."""
+        while (message := self._read(shard, pipe)) is not None:
+            self._on_frame(shard, message)
+
+    def _read(self, shard: _Shard, pipe: _Pipe):
+        """Take one ready frame off the pipe; None when none is ready.
+
+        The worker writes each reply with one ``send``, so a readable
+        pipe holds a whole frame.  Any EOF detaches the pipe.
+        """
+        try:
+            with pipe.read_lock:
+                if not pipe.ready():
+                    return None
+                chaos_point(f"shard.pump[{shard.id}]")
+                return pipe.conn.recv()
+        except (EOFError, OSError):
+            self._on_eof(shard, pipe)
+            return None
+
+    def _on_frame(self, shard: _Shard, message: tuple) -> None:
+        """Resolve the futures one reply frame answers."""
+        if message[0] == "metrics":
+            _, req_id, snapshot = message
+            entries = [(req_id, "metrics", snapshot)]
+        else:
+            entries = message[1]
+        for item_id, kind, payload in entries:
+            with shard.lock:
+                entry = shard.pending.pop(item_id, None)
+            if entry is None:
+                continue  # caller gave up (parent timeout); drop it
+            future, wire_request = entry
+            _resolve(future, payload if kind == "metrics" else
+                     self._decode(shard, kind, payload, wire_request))
+
+    def _on_eof(self, shard: _Shard, pipe: _Pipe) -> None:
+        """Read-side EOF: stop reading, close the parent end, end the worker.
+
+        The worker exits on EOF (a forked sibling may still hold this end
+        open, so it is also told to terminate); the lifecycle thread sees
+        its sentinel and fails pending work, backs off, and restarts it.
+        """
+        with shard.lock:
+            process = shard.process if shard.pipe is pipe else None
+        self._detach(shard, pipe)
+        if process is not None:
+            process.terminate()
+
+    def _detach(self, shard: _Shard, pipe: _Pipe) -> None:
+        """Stop reading ``pipe`` and close it: the reader goes before the fd."""
+        with shard.lock:
+            if shard.pipe is not pipe:
+                return
+            shard.pipe = None
+            loop, pipe.loop = pipe.loop, None
+        if (loop is not None and loop.is_running()
+                and loop is not _running_loop()):
+            try:
+                loop.call_soon_threadsafe(_close_pipe, pipe, loop)
+                return
+            except RuntimeError:  # closed meanwhile, with its selector
+                loop = None
+        _close_pipe(pipe, loop)
+
+    def _decode(self, shard: _Shard, kind: str, payload: dict,
+                wire_request: dict) -> Forecast:
+        """One reply entry as a Forecast, enforcing the forecast schema.
+
+        An ``error`` entry or an entry in another schema degrades to the
+        parent's §VII-A baseline and is counted.
+        """
+        if kind == "error":
+            self.metrics.incr("shard.worker_errors")
+            return self.fallback(_request_from_wire(wire_request),
+                                 error=payload.get("error", "worker error"))
+        try:
+            if payload.get("schema_version") != FORECAST_SCHEMA_VERSION:
+                raise ValueError(
+                    f"shard {shard.id} speaks forecast schema "
+                    f"{payload.get('schema_version')!r}, parent reads "
+                    f"{FORECAST_SCHEMA_VERSION}")
+            return Forecast.from_dict(payload)
+        except Exception as exc:
+            self.metrics.incr("shard.wire_errors")
+            return self.fallback(_request_from_wire(wire_request),
+                                 error=str(exc))
+
     # ----- per-shard lifecycle thread -----
 
     def _shard_loop(self, shard: _Shard) -> None:
-        """Boot, pump, and (with bounded backoff) restart one worker."""
+        """Boot, watch, and (with bounded backoff) restart one worker."""
         backoff = self.restart_backoff_s
         first = True
         while not self._stopping and not self._closed:
             booted = self._boot_shard(shard, first_boot=first)
             shard.booted.set()
             # A boot that lands after close() began missed its "stop";
-            # skip the pump so the reap below ends the worker instead.
+            # skip the watch so the reap below ends the worker instead.
             if booted and not self._stopping:
                 backoff = self.restart_backoff_s  # healthy boot resets it
-                self._pump(shard)
+                wait_ready([shard.process.sentinel])
             with shard.lock:
                 shard.alive = False
                 self._fail_pending_locked(shard, "worker died")
@@ -609,7 +855,7 @@ class ShardedForecastEngine(_EngineBase):
             return False
         with shard.lock:
             shard.process = process
-            shard.conn = parent_conn
+            shard.pipe = _Pipe(parent_conn)
             shard.pid = info.get("pid")
             shard.model_version = int(info.get("model_version", 0))
             shard.alive = True
@@ -618,61 +864,12 @@ class ShardedForecastEngine(_EngineBase):
         self.metrics.incr("shard.boots")
         return True
 
-    def _pump(self, shard: _Shard) -> None:
-        """Deliver worker replies to their futures until EOF."""
-        conn = shard.conn
-        while True:
-            try:
-                chaos_point(f"shard.pump[{shard.id}]")
-                message = conn.recv()
-            except (EOFError, OSError):
-                return
-            if message[0] == "metrics":
-                _, req_id, snapshot = message
-                entries = [(req_id, "metrics", snapshot)]
-            else:
-                entries = message[1]
-            for item_id, kind, payload in entries:
-                with shard.lock:
-                    entry = shard.pending.pop(item_id, None)
-                if entry is None:
-                    continue  # caller gave up (parent timeout); drop it
-                future, wire_request = entry
-                _resolve(future, payload if kind == "metrics" else
-                         self._decode(shard, kind, payload, wire_request))
-
-    def _decode(self, shard: _Shard, kind: str, payload: dict,
-                wire_request: dict) -> Forecast:
-        """One reply entry as a Forecast, enforcing the forecast schema.
-
-        An ``error`` entry or an entry in another schema degrades to the
-        parent's §VII-A baseline and is counted.
-        """
-        if kind == "error":
-            self.metrics.incr("shard.worker_errors")
-            return self.fallback(_request_from_wire(wire_request),
-                                 error=payload.get("error", "worker error"))
-        try:
-            if payload.get("schema_version") != FORECAST_SCHEMA_VERSION:
-                raise ValueError(
-                    f"shard {shard.id} speaks forecast schema "
-                    f"{payload.get('schema_version')!r}, parent reads "
-                    f"{FORECAST_SCHEMA_VERSION}")
-            return Forecast.from_dict(payload)
-        except Exception as exc:
-            self.metrics.incr("shard.wire_errors")
-            return self.fallback(_request_from_wire(wire_request),
-                                 error=str(exc))
-
     def _reap(self, shard: _Shard) -> None:
         with shard.lock:
             process, shard.process = shard.process, None
-            conn, shard.conn = shard.conn, None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            pipe = shard.pipe
+        if pipe is not None:
+            self._detach(shard, pipe)
         if process is not None:
             process.join(timeout=2.0)
             if process.is_alive():
@@ -680,9 +877,46 @@ class ShardedForecastEngine(_EngineBase):
                 process.join(timeout=2.0)
 
 
-def _resolve(future: Future, value) -> None:
-    """Set a result, tolerating callers that cancelled or raced us."""
-    if future.cancelled():
+def _running_loop() -> asyncio.AbstractEventLoop | None:
+    """The event loop running on this thread, if any."""
+    try:
+        return asyncio.get_running_loop()
+    except RuntimeError:
+        return None
+
+
+def _close_pipe(pipe: _Pipe, loop: asyncio.AbstractEventLoop | None) -> None:
+    """Unregister the pipe's reader from ``loop``, then close the pipe."""
+    if loop is not None and not loop.is_closed():
+        loop.remove_reader(pipe.fd)
+    try:
+        pipe.conn.close()
+    except OSError:
+        pass
+
+
+def _resolve(future, value) -> None:
+    """Set a result from any thread, tolerating callers that gave up.
+
+    A loop future is set directly on its own loop's thread and through
+    ``call_soon_threadsafe`` from any other; one whose loop has closed
+    is dropped (nobody can await it).
+    """
+    if isinstance(future, asyncio.Future):
+        loop = future.get_loop()
+        if loop is _running_loop():
+            _set_result(future, value)
+            return
+        try:
+            loop.call_soon_threadsafe(_set_result, future, value)
+        except RuntimeError:  # loop closed
+            pass
+        return
+    _set_result(future, value)
+
+
+def _set_result(future, value) -> None:
+    if future.done():
         return
     try:
         future.set_result(value)

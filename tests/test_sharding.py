@@ -15,7 +15,10 @@ worker mid-hammer and every answer is still a forecast (degraded
 own, and model answers resume -- without restarting the server.
 """
 
+import asyncio
 import functools
+import gc
+import itertools
 import os
 import random
 import signal
@@ -27,6 +30,7 @@ import pytest
 from repro.core.spatiotemporal import AttackPrediction
 from repro.serving import (
     EngineClosedError,
+    Forecast,
     ForecastEngine,
     ForecastRequest,
     ModelRegistry,
@@ -560,3 +564,324 @@ class TestDrainClose:
         engine.close()
         with pytest.raises(EngineClosedError):
             engine.query(asn=1, family="Mirai")
+
+
+# ----- the event loop reads replies --------------------------------------
+
+
+def delayed_keyed_factory(trace, env, config):
+    return KeyedPredictor(delay_s=0.5)
+
+
+def _horizon(trace):
+    """Past the trace's last attack: a fresh work key the baseline answers."""
+    return max(a.start_time for a in trace.attacks) + 1.0
+
+
+@pytest.fixture()
+def keyed_reference(small_trace, small_env):
+    """In-process oracle on the keyed stub model, by canonical forecast."""
+    engine = ForecastEngine(small_trace, small_env,
+                            registry=ModelRegistry(factory=keyed_factory))
+    yield engine
+    engine.close()
+
+
+def _assert_no_loop_errors(caplog):
+    gc.collect()  # a future's unretrieved exception is logged on collection
+    assert "Exception in callback" not in caplog.text
+    assert "exception was never retrieved" not in caplog.text
+
+
+def _matches_oracle(forecast, request, oracle):
+    """A model answer equals the oracle's; a degraded one is its baseline."""
+    if forecast.degraded:
+        assert forecast.source == "baseline", forecast.error
+        assert _wire_hex(forecast) == _wire_hex(oracle.fallback(request))
+    else:
+        assert forecast.source == "model"
+        assert _canonical(forecast) == _canonical(oracle.query(request))
+
+
+@pytest.mark.net
+class TestLoopReader:
+    """``submit`` on a running loop: the loop itself reads the pipe."""
+
+    def test_submit_returns_loop_future_and_no_reader_threads(
+            self, small_trace, small_env, keyed_reference):
+        requests = _owned_requests(small_trace, 2, 0, 2) + \
+            _owned_requests(small_trace, 2, 1, 2)
+        before = set(threading.enumerate())
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   warm=False, factory=keyed_factory) as engine:
+            async def ask_all():
+                loop = asyncio.get_running_loop()
+                futures = [engine.submit(r) for r in requests]
+                for future in futures:
+                    assert isinstance(future, asyncio.Future)
+                    assert future.get_loop() is loop
+                return await asyncio.gather(*futures)
+
+            forecasts = asyncio.run(ask_all())
+            started = set(threading.enumerate()) - before
+        assert sorted(t.name for t in started) == ["shard-0", "shard-1"]
+        for request, forecast in zip(requests, forecasts):
+            assert _canonical(forecast) == _canonical(
+                keyed_reference.query(request))
+
+    def test_sigkill_in_flight_over_http(self, small_trace, small_env,
+                                         keyed_reference, caplog):
+        """In-flight and while-down answers degrade; the shard comes back."""
+        from repro.server import AsyncForecastClient, Dispatcher, ForecastServer
+
+        owned = _owned_request(small_trace, 2, 0)
+        horizon = _horizon(small_trace)
+        counter = itertools.count()
+
+        def fresh():
+            return ForecastRequest(owned.asn, owned.family,
+                                   now=horizon + next(counter))
+
+        async def ask(host, port, request):
+            async with AsyncForecastClient(host, port) as client:
+                return request, await client.forecast(
+                    request.asn, request.family, now=request.now)
+
+        async def run(engine):
+            async with ForecastServer(Dispatcher(engine), port=0,
+                                      close_engine=False) as server:
+                host, port = server.http_address
+                _, first = await ask(host, port, fresh())
+                assert first.source == "model"
+                victim = engine.shard_pids()[0]
+                in_flight = [asyncio.create_task(ask(host, port, fresh()))
+                             for _ in range(4)]
+                deadline = time.monotonic() + 10.0
+                while (engine.metrics_snapshot(include_workers=False)
+                       ["shards"]["0"]["inflight"] < 4):
+                    assert time.monotonic() < deadline, "never in flight"
+                    await asyncio.sleep(0.005)
+                os.kill(victim, signal.SIGKILL)
+                crashed = await asyncio.gather(*in_flight)
+                after = []
+                deadline = time.monotonic() + 30.0
+                while time.monotonic() < deadline:
+                    after.append(await ask(host, port, fresh()))
+                    if not after[-1][1].degraded:
+                        break
+                await server.shutdown("test done")
+            return victim, crashed, after
+
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   warm=False, factory=delayed_keyed_factory,
+                                   max_workers_per_shard=1,
+                                   restart_backoff_s=0.1) as engine:
+            victim, crashed, after = asyncio.run(run(engine))
+            assert engine.shard_pids()[0] not in (None, victim)
+            counters = engine.metrics.snapshot()["counters"]
+        for request, forecast in crashed:
+            assert forecast.degraded and forecast.source == "baseline"
+            assert "worker died" in forecast.error
+            _matches_oracle(forecast, request, keyed_reference)
+        assert counters["shard.failed_inflight"] >= 4
+        assert not after[-1][1].degraded, "shard never served models again"
+        for request, forecast in after:
+            _matches_oracle(forecast, request, keyed_reference)
+        _assert_no_loop_errors(caplog)
+
+    def test_metrics_on_the_loop_under_load(self, small_trace, small_env):
+        """GET /metrics blocks the loop, so it reads the worker replies."""
+        from repro.server import AsyncForecastClient, Dispatcher, ForecastServer
+
+        owned = _owned_requests(small_trace, 2, 0, 2) + \
+            _owned_requests(small_trace, 2, 1, 2)
+        horizon = _horizon(small_trace)
+
+        async def client_loop(host, port, base, answered, stop):
+            async with AsyncForecastClient(host, port) as client:
+                i = 0
+                while not stop.is_set():
+                    request = owned[i % len(owned)]
+                    forecast = await client.forecast(
+                        request.asn, request.family,
+                        now=horizon + base + i)
+                    assert forecast.source == "model" and not forecast.cached
+                    answered.append(forecast)
+                    i += 1
+
+        async def run(engine):
+            async with ForecastServer(Dispatcher(engine), port=0,
+                                      close_engine=False) as server:
+                host, port = server.http_address
+                answered, stop = [], asyncio.Event()
+                clients = [asyncio.create_task(
+                    client_loop(host, port, 10_000 * k, answered, stop))
+                    for k in range(4)]
+                while len(answered) < 200:
+                    await asyncio.sleep(0.01)
+                async with AsyncForecastClient(host, port) as client:
+                    floor = len(answered)
+                    body = await client.metrics()
+                stop.set()
+                await asyncio.gather(*clients)
+                await server.shutdown("test done")
+            return floor, body
+
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   warm=False, factory=keyed_factory) as engine:
+            floor, body = asyncio.run(run(engine))
+        assert body["n_shards"] == 2
+        workers = [shard["worker"] for shard in body["shards"].values()]
+        assert all(shard["alive"] for shard in body["shards"].values())
+        # None would mean the scrape missed worker_timeout_s.
+        assert all(worker is not None for worker in workers), body["shards"]
+        model_answers = sum(worker["counters"].get("serving.model_answers", 0)
+                            for worker in workers)
+        assert model_answers >= floor
+
+
+class TestMixedCallers:
+    """Loops that come and go, and blocking callers beside a live loop."""
+
+    def test_one_loop_per_request(self, small_trace, small_env,
+                                  keyed_reference, caplog):
+        from repro.server import Dispatcher
+
+        requests = _owned_requests(small_trace, 2, 0, 3) + \
+            _owned_requests(small_trace, 2, 1, 3)
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   warm=False, factory=keyed_factory) as engine:
+            dispatcher = Dispatcher(engine)
+            for _ in range(3):
+                for request in requests:
+                    status, body, _ = asyncio.run(dispatcher.handle(
+                        "forecast", {"asn": request.asn,
+                                     "family": request.family}))
+                    assert status == 200
+                    forecast = Forecast.from_dict(body)
+                    assert not forecast.degraded
+                    assert _wire_hex(forecast) == _wire_hex(
+                        keyed_reference.query(request))
+            assert engine.query(requests[0]).source == "model"
+        _assert_no_loop_errors(caplog)
+
+    def test_reply_after_its_loop_closed(self, small_trace, small_env,
+                                         keyed_reference, caplog):
+        from repro.server import Dispatcher
+
+        request = _owned_request(small_trace, 2, 0)
+        late = ForecastRequest(request.asn, request.family,
+                               now=_horizon(small_trace))
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   warm=False,
+                                   factory=delayed_keyed_factory) as engine:
+            dispatcher = Dispatcher(engine)
+            status, body, _ = asyncio.run(dispatcher.handle(
+                "forecast", {"asn": late.asn, "family": late.family,
+                             "now": late.now, "timeout_s": 0.001}))
+            assert status == 200 and body["degraded"]  # timed out
+            time.sleep(0.8)  # its reply lands with no loop left to read it
+            # The next loop reads (and drops) the stale reply first.
+            status, body, _ = asyncio.run(dispatcher.handle(
+                "forecast", {"asn": request.asn, "family": request.family}))
+            assert status == 200
+            assert _wire_hex(Forecast.from_dict(body)) == _wire_hex(
+                keyed_reference.query(request))
+            assert _wire_hex(engine.query(late)) == _wire_hex(
+                keyed_reference.query(late))
+            assert engine.metrics_snapshot(
+                include_workers=False)["shards"]["0"]["inflight"] == 0
+        _assert_no_loop_errors(caplog)
+
+    def test_full_size_batch_on_the_loop(self, small_trace, small_env,
+                                         keyed_reference):
+        """A 1,024-request batch submits every item in one loop pass.
+
+        The loop must read replies while it writes: a worker with ~170
+        unread replies blocks on its full pipe and stops reading, and
+        the loop would then block writing to it.
+        """
+        from repro.server import Dispatcher
+        from repro.server.protocol import MAX_BATCH_REQUESTS
+
+        base = _owned_requests(small_trace, 2, 0, 2) + \
+            _owned_requests(small_trace, 2, 1, 2)
+        horizon = _horizon(small_trace)
+        requests = [ForecastRequest(b.asn, b.family, now=horizon + i)
+                    for i in range(MAX_BATCH_REQUESTS // len(base))
+                    for b in base]
+        payload = {"requests": [{"asn": r.asn, "family": r.family,
+                                 "now": r.now} for r in requests]}
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   warm=False, factory=keyed_factory) as engine:
+            result = []
+            thread = threading.Thread(target=lambda: result.append(
+                asyncio.run(Dispatcher(engine).handle("forecast_batch",
+                                                      payload))),
+                daemon=True)
+            thread.start()
+            thread.join(timeout=60)
+            if thread.is_alive():
+                for pid in engine.shard_pids():  # unblock the loop first
+                    if pid is not None:
+                        os.kill(pid, signal.SIGKILL)
+                thread.join(timeout=30)
+                pytest.fail("the loop and a worker blocked on full pipes")
+        status, body, _ = result[0]
+        assert status == 200
+        for request, item in zip(requests, body["forecasts"]):
+            forecast = Forecast.from_dict(item)
+            assert not forecast.degraded
+            assert _wire_hex(forecast) == _wire_hex(
+                keyed_reference.query(request))
+
+    def test_blocking_callers_beside_a_live_loop(self, small_trace, small_env,
+                                                 keyed_reference, caplog):
+        requests = _owned_requests(small_trace, 2, 0, 3) + \
+            _owned_requests(small_trace, 2, 1, 3)
+        horizon = _horizon(small_trace)
+        expected = {}
+        with ShardedForecastEngine(small_trace, small_env, n_shards=2,
+                                   warm=False, factory=keyed_factory) as engine:
+            loop = asyncio.new_event_loop()
+            server = threading.Thread(target=loop.run_forever)
+            server.start()
+            try:
+                async def register():
+                    return await asyncio.gather(
+                        *(engine.submit(r) for r in requests))
+
+                asyncio.run_coroutine_threadsafe(register(), loop).result(30)
+                assert all(s.pipe.loop is loop for s in engine._shards)
+                answers, errors = [], []
+
+                def caller(k: int) -> None:
+                    try:
+                        for i in range(25):
+                            base = requests[(k + i) % len(requests)]
+                            request = ForecastRequest(
+                                base.asn, base.family,
+                                now=horizon + 100 * k + i)
+                            answers.append((request, engine.query(request)))
+                    except Exception as exc:  # pragma: no cover - reported
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=caller, args=(k,))
+                           for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not errors, errors
+                assert len(answers) == 100
+                assert all(s.pipe.loop is loop for s in engine._shards)
+            finally:
+                loop.call_soon_threadsafe(loop.stop)
+                server.join(timeout=10)
+                loop.close()
+        for request, forecast in answers:
+            key = request.work_key
+            expected.setdefault(key, keyed_reference.query(request))
+            assert not forecast.degraded
+            assert _wire_hex(forecast) == _wire_hex(expected[key])
+        _assert_no_loop_errors(caplog)
